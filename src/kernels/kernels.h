@@ -8,9 +8,11 @@
 //
 // Backends: a generic scalar baseline (always present, bit-identical to the
 // pre-SIMD scalar code) plus AVX2 / AVX-512 / NEON translation units that
-// are compiled with per-file -march flags and registered only when both the
+// are compiled with per-file -m flags and registered only when both the
 // compiler and the running CPU support them, so one binary is safe on any
-// host.
+// host. The two x86 units share one op source (x86_ops.h) written over a
+// per-ISA vector type; each unit defines only that type's primitives. The
+// table holds 24 ops.
 //
 // Determinism contract (DESIGN.md §14): results are bit-identical within a
 // backend regardless of thread count. Across backends, the ops fall in two

@@ -50,8 +50,8 @@ struct SocsKernels {
 SocsKernels build_socs_kernels(const LithoConfig& config);
 
 /// Process-wide cache: builds on first use per distinct kernel_cache_key().
-/// Returned reference stays valid for the process lifetime. Not thread-safe
-/// (the whole framework is single-threaded by design).
+/// Returned reference stays valid for the process lifetime. Thread-safe: a
+/// mutex guards the cache, so simulators may be constructed from pool tasks.
 const SocsKernels& cached_kernels(const LithoConfig& config);
 
 }  // namespace ldmo::litho

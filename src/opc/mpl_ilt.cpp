@@ -31,6 +31,10 @@ MplIltEngine::MplIltEngine(const litho::LithoSimulator& simulator,
               config_.step_decay <= 1.0 && config_.theta_m_anneal >= 1.0 &&
               !config_.binarize_thresholds.empty(),
           "MplIltEngine: invalid configuration");
+  require(config_.violation_check_warmup >= 0,
+          "MplIltEngine: negative check warmup");
+  require(config_.edge_weight == 0.0,
+          "MplIltEngine: edge_weight is not supported (IltEngine only)");
 }
 
 GridF MplIltEngine::mask_of(const GridF& p, double theta_m) const {

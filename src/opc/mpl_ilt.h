@@ -51,7 +51,8 @@ struct MplIltResult {
 };
 
 /// k-mask gradient-descent ILT engine sharing IltConfig semantics with the
-/// two-mask engine.
+/// two-mask engine, except that it has no edge-weighted loss: the
+/// constructor rejects a nonzero IltConfig::edge_weight.
 class MplIltEngine {
  public:
   MplIltEngine(const litho::LithoSimulator& simulator, int mask_count,

@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.h"
@@ -463,6 +465,289 @@ TEST(KernelApproxOpsTest, ReductionTolerances) {
                 dot_ref, 1e-3);
   }
 }
+
+// ---------------------------------------------------------------------------
+// Per-backend output pin. The sweeps above compare approximate ops with
+// generic only within a tolerance, so they cannot see a change in a SIMD
+// backend's own bits (lane count, reduction order, tail handling). This
+// test folds every op's output at every length from 0 to 3*lanes+1, and at
+// 4096 and 16384, into one FNV-1a digest per op and pins it per backend.
+// The sigmoid and cis tails call libm exp/cos/sin, so those two digests
+// hold for glibc's libm.
+
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(const T* p, std::size_t n) {
+    const auto* bytes = reinterpret_cast<const unsigned char*>(p);
+    for (std::size_t i = 0; i < n * sizeof(T); ++i) {
+      hash_ ^= bytes[i];
+      hash_ *= 0x100000001b3ULL;
+    }
+  }
+  template <typename T>
+  void add(const T& value) {
+    add(&value, 1);
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+struct OpDigest {
+  const char* op;
+  std::uint64_t digest;
+};
+
+// All 24 ops of `t`, in table order. `lanes` is the backend's f32 lane
+// count.
+std::vector<OpDigest> op_digests(const KernelTable& t, std::size_t lanes) {
+  constexpr std::size_t kMax = 16384;
+  constexpr int kGemmRows = 4, kGemmK = 67;  // k crosses the 64-wide block
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 3 * lanes + 1; ++n) lengths.push_back(n);
+  lengths.push_back(4096);
+  lengths.push_back(kMax);
+
+  Rng rng(41);
+  const std::vector<double> a = random_f64(rng, kMax);
+  const std::vector<double> b = random_f64(rng, kMax, -0.2, 1.2);
+  const std::vector<double> unit = random_f64(rng, kMax, 0.0, 1.0);
+  const std::vector<double> w = random_f64(rng, kMax, 0.5, 2.0);
+  const std::vector<double> phase = random_f64(rng, kMax, -50.0, 50.0);
+  const std::vector<float> xf = random_f32(rng, kMax);
+  const std::vector<float> yf = random_f32(rng, kMax);
+  const std::vector<float> ga = random_f32(rng, kGemmRows * kGemmK);
+  const std::vector<float> gb = random_f32(rng, kGemmK * kMax);
+  const std::vector<float> gc = random_f32(rng, kGemmRows * kMax);
+  const std::vector<Complex> ca = random_c128(rng, kMax);
+  const std::vector<Complex> cb = random_c128(rng, kMax);
+  const std::vector<Complex> cc = random_c128(rng, kMax);
+  const std::vector<Complex> twiddle = random_c128(rng, kMax / 2);
+  const std::vector<double> grid = random_f64(rng, 16 * 16, 0.0, 1.0);
+
+  std::vector<OpDigest> out;
+  const auto pin = [&](const char* op, auto body) {
+    Fnv1a h;
+    for (std::size_t n : lengths) body(n, h);
+    out.push_back({op, h.value()});
+  };
+  const auto head = [](const auto& v, std::size_t n) {
+    return std::vector<typename std::decay_t<decltype(v)>::value_type>(
+        v.begin(), v.begin() + static_cast<std::ptrdiff_t>(n));
+  };
+
+  pin("gemm_rows_f32", [&](std::size_t n, Fnv1a& h) {
+    std::vector<float> c = head(gc, kGemmRows * n);
+    t.gemm_rows_f32(ga.data(), gb.data(), c.data(), 1, kGemmRows, kGemmK,
+                    static_cast<int>(n));
+    h.add(c.data(), c.size());
+  });
+  pin("axpy_f32", [&](std::size_t n, Fnv1a& h) {
+    std::vector<float> y = head(yf, n);
+    t.axpy_f32(0.71f, xf.data(), y.data(), static_cast<int>(n));
+    h.add(y.data(), n);
+  });
+  pin("dot_f32", [&](std::size_t n, Fnv1a& h) {
+    h.add(t.dot_f32(xf.data(), yf.data(), static_cast<int>(n)));
+  });
+  pin("sigmoid_affine_f64", [&](std::size_t n, Fnv1a& h) {
+    // scale 400 drives |z| past 708, covering the exp flush to zero.
+    std::vector<double> o(n);
+    t.sigmoid_affine_f64(a.data(), o.data(), n, 400.0, 0.1);
+    h.add(o.data(), n);
+  });
+  pin("cis_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<Complex> o(n);
+    t.cis_f64(phase.data(), o.data(), n);
+    h.add(o.data(), n);
+  });
+  pin("resist_deriv_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<double> o(n);
+    t.resist_deriv_f64(unit.data(), o.data(), n, 120.0);
+    h.add(o.data(), n);
+  });
+  pin("add_clamp1_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<double> o(n);
+    t.add_clamp1_f64(a.data(), b.data(), o.data(), n);
+    h.add(o.data(), n);
+  });
+  pin("add_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<double> o = head(a, n);
+    t.add_f64(b.data(), o.data(), n);
+    h.add(o.data(), n);
+  });
+  pin("clamp_max_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<double> o = head(a, n);
+    t.clamp_max_f64(o.data(), n, 0.5);
+    h.add(o.data(), n);
+  });
+  pin("gate_lt1_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<double> o(n);
+    t.gate_lt1_f64(a.data(), b.data(), o.data(), n);
+    h.add(o.data(), n);
+  });
+  pin("loss_grad_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<double> o(n);
+    h.add(t.loss_grad_f64(a.data(), b.data(), w.data(), o.data(), n));
+    h.add(o.data(), n);
+    h.add(t.loss_grad_f64(a.data(), b.data(), nullptr, o.data(), n));
+    h.add(o.data(), n);
+  });
+  pin("max_abs_f64", [&](std::size_t n, Fnv1a& h) {
+    h.add(t.max_abs_f64(a.data(), n));
+  });
+  pin("descend_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<double> o = head(a, n);
+    t.descend_f64(o.data(), b.data(), 0.37, n);
+    h.add(o.data(), n);
+  });
+  pin("sigmoid_chain_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<double> o = head(a, n);
+    t.sigmoid_chain_f64(o.data(), unit.data(), 4.0, n);
+    h.add(o.data(), n);
+  });
+  pin("sq_diff_sum_f64", [&](std::size_t n, Fnv1a& h) {
+    h.add(t.sq_diff_sum_f64(a.data(), b.data(), n));
+  });
+  pin("cmul_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<Complex> o = head(ca, n);
+    t.cmul_f64(o.data(), cb.data(), n);
+    h.add(o.data(), n);
+  });
+  pin("cmul_to_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<Complex> o(n);
+    t.cmul_to_f64(ca.data(), cb.data(), o.data(), n);
+    h.add(o.data(), n);
+  });
+  pin("cmul_conj_accum_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<Complex> o = head(cc, n);
+    t.cmul_conj_accum_f64(o.data(), ca.data(), cb.data(), 0.83, n);
+    h.add(o.data(), n);
+  });
+  pin("norm_weighted_accum_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<double> o = head(a, n);
+    t.norm_weighted_accum_f64(o.data(), ca.data(), 0.61, n);
+    h.add(o.data(), n);
+  });
+  pin("real_mul_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<Complex> o(n);
+    t.real_mul_f64(a.data(), ca.data(), o.data(), n);
+    h.add(o.data(), n);
+  });
+  pin("scaled_real_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<double> o(n);
+    t.scaled_real_f64(ca.data(), 1.7, o.data(), n);
+    h.add(o.data(), n);
+  });
+  pin("scale_complex_f64", [&](std::size_t n, Fnv1a& h) {
+    std::vector<Complex> o = head(ca, n);
+    t.scale_complex_f64(o.data(), 1.3, n);
+    h.add(o.data(), n);
+  });
+  // An FFT stage needs a power-of-two size, so this op runs every stage of
+  // every size from 2 to 16384 (random twiddles: the op does not care).
+  pin("fft_pass_f64", [&](std::size_t n, Fnv1a& h) {
+    if (n != kMax) return;
+    for (int size = 2; size <= static_cast<int>(kMax); size <<= 1) {
+      std::vector<Complex> o = head(ca, static_cast<std::size_t>(size));
+      for (int len = 2; len <= size; len <<= 1)
+        t.fft_pass_f64(o.data(), twiddle.data(), size, len);
+      h.add(o.data(), o.size());
+    }
+  });
+  pin("bilinear_line_f64", [&](std::size_t n, Fnv1a& h) {
+    // The line starts outside the 16x16 grid and crosses it diagonally.
+    const double step = 1.0 / static_cast<double>(n + 1);
+    std::vector<double> o(n);
+    t.bilinear_line_f64(grid.data(), 16, 16, -1.5, -0.5, 19.0 * step,
+                        18.0 * step, static_cast<int>(n), o.data());
+    h.add(o.data(), n);
+  });
+  return out;
+}
+
+class KernelDigestTest : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(KernelDigestTest, EveryOpMatchesPinnedBits) {
+  const Backend backend = GetParam();
+  if (!supported(backend))
+    GTEST_SKIP() << to_string(backend) << " not usable on this host";
+  // A changed digest is a change in that backend's results: re-pin only
+  // on purpose, and record why in CHANGES.md.
+  static const std::vector<OpDigest> kAvx2 = {
+      {"gemm_rows_f32", 0x769f1bf7c20858b8ULL},
+      {"axpy_f32", 0x8102c48fd9c5e790ULL},
+      {"dot_f32", 0xa29fd521ca731fabULL},
+      {"sigmoid_affine_f64", 0x15d7e15f98f9ab2cULL},
+      {"cis_f64", 0x5d51222f83af21b6ULL},
+      {"resist_deriv_f64", 0x76afd0a538afe001ULL},
+      {"add_clamp1_f64", 0xc9e1fe2eaf2af756ULL},
+      {"add_f64", 0x63a2cd6befd31b23ULL},
+      {"clamp_max_f64", 0xa9bb88ba1d1ab26dULL},
+      {"gate_lt1_f64", 0xd2d9da64c55d4d8ULL},
+      {"loss_grad_f64", 0x3b9c6b5ae1490261ULL},
+      {"max_abs_f64", 0xb80e69c6a876682aULL},
+      {"descend_f64", 0xd86f920060b41a6cULL},
+      {"sigmoid_chain_f64", 0xc7209674dc6b5ee4ULL},
+      {"sq_diff_sum_f64", 0x66b8d00d65a28735ULL},
+      {"cmul_f64", 0xbd26d187ac457879ULL},
+      {"cmul_to_f64", 0xbd26d187ac457879ULL},
+      {"cmul_conj_accum_f64", 0x40e653af0506f56bULL},
+      {"norm_weighted_accum_f64", 0x61029d64683abb7bULL},
+      {"real_mul_f64", 0x2dde5f4fcf7e8e93ULL},
+      {"scaled_real_f64", 0x5a8e561b87d9dd53ULL},
+      {"scale_complex_f64", 0x8364d95e5d36058fULL},
+      {"fft_pass_f64", 0x2bf7113124c697e8ULL},
+      {"bilinear_line_f64", 0xe4065b835b6901d2ULL},
+  };
+  static const std::vector<OpDigest> kAvx512 = {
+      {"gemm_rows_f32", 0x74c461fc37fd831fULL},
+      {"axpy_f32", 0xdf9dd6572f420cfaULL},
+      {"dot_f32", 0xa2c17bbe96292e56ULL},
+      {"sigmoid_affine_f64", 0xe2cfbee90a56123eULL},
+      {"cis_f64", 0xdc3c4959fa4f8976ULL},
+      {"resist_deriv_f64", 0xfb26b6b06cf4f15aULL},
+      {"add_clamp1_f64", 0xc40b280057625e49ULL},
+      {"add_f64", 0x4f11827e88509cf0ULL},
+      {"clamp_max_f64", 0xc105441104e2cff2ULL},
+      {"gate_lt1_f64", 0xd4d0a6fcc5285f78ULL},
+      {"loss_grad_f64", 0x74aac83153600409ULL},
+      {"max_abs_f64", 0x719ef5056a9f1ceaULL},
+      {"descend_f64", 0xf8f152b49cbc0b34ULL},
+      {"sigmoid_chain_f64", 0xf3abe790c015561eULL},
+      {"sq_diff_sum_f64", 0xfa199acc7132c1eULL},
+      {"cmul_f64", 0xb4e1dc0f62eb5ce5ULL},
+      {"cmul_to_f64", 0xb4e1dc0f62eb5ce5ULL},
+      {"cmul_conj_accum_f64", 0x5a32641b645d168ULL},
+      {"norm_weighted_accum_f64", 0x1addcfeb5312098aULL},
+      {"real_mul_f64", 0x1642a7f77b39dd9eULL},
+      {"scaled_real_f64", 0x95b8300c289bc722ULL},
+      {"scale_complex_f64", 0xef91158b92ec830cULL},
+      {"fft_pass_f64", 0x2bf7113124c697e8ULL},
+      {"bilinear_line_f64", 0xb9c1cdb032590580ULL},
+  };
+  const bool avx2 = backend == Backend::kAvx2;
+  const std::vector<OpDigest>& expected = avx2 ? kAvx2 : kAvx512;
+  const std::vector<OpDigest> got =
+      op_digests(*detail::table_for(backend), avx2 ? 8 : 16);
+  ASSERT_EQ(got.size(), 24u);
+  ASSERT_EQ(expected.size(), got.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_STREQ(expected[i].op, got[i].op);
+    EXPECT_EQ(expected[i].digest, got[i].digest)
+        << "{\"" << got[i].op << "\", 0x" << std::hex << got[i].digest
+        << "ULL},";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    X86, KernelDigestTest,
+    ::testing::Values(Backend::kAvx2, Backend::kAvx512),
+    [](const ::testing::TestParamInfo<Backend>& info) {
+      return std::string(to_string(info.param));
+    });
 
 // ---------------------------------------------------------------------------
 // Pinned goldens, swept per backend through the real entry points.

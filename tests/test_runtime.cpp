@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/ldmo_flow.h"
 #include "core/predictor.h"
+#include "kernels/kernels.h"
 #include "layout/generator.h"
 #include "litho/simulator.h"
 #include "nn/gemm.h"
@@ -353,27 +354,40 @@ TEST(DeterminismTest, FullFlowBitIdenticalAcrossThreadCounts) {
   layout::LayoutGenerator gen;
   const layout::Layout layout = gen.generate(31);
 
-  core::LdmoResult serial;
-  {
-    ScopedThreads threads(1);
-    serial = flow.run(layout);
-  }
-  core::LdmoResult parallel;
-  {
-    ScopedThreads threads(4);
-    parallel = flow.run(layout);
-  }
+  // Repeat on every kernel backend this host can run: each backend's
+  // masks must be bit-identical across thread counts.
+  struct RestoreBackend {
+    kernels::Backend saved = kernels::active();
+    ~RestoreBackend() { kernels::select(saved); }
+  } restore;
+  for (kernels::Backend backend :
+       {kernels::Backend::kGeneric, kernels::Backend::kAvx2,
+        kernels::Backend::kAvx512, kernels::Backend::kNeon}) {
+    if (!kernels::supported(backend)) continue;
+    SCOPED_TRACE(kernels::to_string(backend));
+    kernels::select(backend);
+    core::LdmoResult serial;
+    {
+      ScopedThreads threads(1);
+      serial = flow.run(layout);
+    }
+    core::LdmoResult parallel;
+    {
+      ScopedThreads threads(4);
+      parallel = flow.run(layout);
+    }
 
-  // The speculative parallel ILT must pick the same winner the serial
-  // fallback chain picks, and every mask pixel must match bit-for-bit.
-  EXPECT_EQ(serial.chosen, parallel.chosen);
-  EXPECT_EQ(serial.candidates_generated, parallel.candidates_generated);
-  EXPECT_EQ(serial.candidates_tried, parallel.candidates_tried);
-  EXPECT_EQ(serial.ilt.report.epe.violation_count,
-            parallel.ilt.report.epe.violation_count);
-  EXPECT_EQ(serial.ilt.mask1, parallel.ilt.mask1);
-  EXPECT_EQ(serial.ilt.mask2, parallel.ilt.mask2);
-  EXPECT_EQ(serial.ilt.response, parallel.ilt.response);
+    // The speculative parallel ILT must pick the same winner the serial
+    // fallback chain picks, and every mask pixel must match bit-for-bit.
+    EXPECT_EQ(serial.chosen, parallel.chosen);
+    EXPECT_EQ(serial.candidates_generated, parallel.candidates_generated);
+    EXPECT_EQ(serial.candidates_tried, parallel.candidates_tried);
+    EXPECT_EQ(serial.ilt.report.epe.violation_count,
+              parallel.ilt.report.epe.violation_count);
+    EXPECT_EQ(serial.ilt.mask1, parallel.ilt.mask1);
+    EXPECT_EQ(serial.ilt.mask2, parallel.ilt.mask2);
+    EXPECT_EQ(serial.ilt.response, parallel.ilt.response);
+  }
 }
 
 TEST(DeterminismTest, ScoreBatchMatchesSerialScoreLoop) {

@@ -191,6 +191,13 @@ TEST(MplIlt, InitStateValidatesMaskRange) {
   EXPECT_THROW(engine.init_state(conflict_triangle(), {0, 1, 3}),
                ldmo::Error);
   EXPECT_THROW(opc::MplIltEngine(simulator(), 1), ldmo::Error);
+  opc::IltConfig edge_weighted;
+  edge_weighted.edge_weight = 1.0;
+  EXPECT_THROW(opc::MplIltEngine(simulator(), 3, edge_weighted), ldmo::Error);
+  opc::IltConfig negative_warmup;
+  negative_warmup.violation_check_warmup = -1;
+  EXPECT_THROW(opc::MplIltEngine(simulator(), 3, negative_warmup),
+               ldmo::Error);
 }
 
 TEST(MplIlt, AbortOnViolationWorksForThreeMasks) {
