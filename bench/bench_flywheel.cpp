@@ -270,9 +270,7 @@ int main(int argc, char** argv) {
   tcfg.min_new_records = static_cast<std::size_t>(corpus);
   tcfg.holdout_every = 4;
   tcfg.poll_interval_ms = 50;
-  tcfg.scratch_path = scratch + ".candidate";
-  flywheel::FineTuner tuner(tcfg,
-                            flywheel::local_promoter(server, network, scratch));
+  flywheel::FineTuner tuner(tcfg, flywheel::local_promoter(server, network));
   tuner.set_incumbent(mistrained_blob);
 
   // The flywheel round runs while the server keeps taking traffic — the

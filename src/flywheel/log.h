@@ -2,27 +2,26 @@
 //
 // The serve-time capture sink (sink.h) appends (decomposition image,
 // actual ILT score) pairs here; the background fine-tuner (tuner.h) reads
-// them back. Layout mirrors the warm-start corpus framing discipline
-// (warmstart/corpus.h):
+// them back. The framing is the common record log (common/file.h), shared
+// with the warm-start corpus:
 //
 //   header:  magic "LDMOFWL1" (8 bytes) + u32 little-endian image_size
 //   records: image_size^2 float32 grayscale decomposition image
 //            + f64 actual score (little-endian IEEE-754 bit pattern)
 //            + u64 FNV-1a checksum of the image and score bytes.
 //
-// Records are fixed-size, so the count derives from the file size. Unlike
-// the corpus reader, the flywheel reader is TOLERANT OF A TORN TAIL: the
-// log is appended by a live server that can crash (or hit the
-// flywheel.log.append failpoint) mid-record, and losing the newest pair
-// must not strand every previously captured one. A trailing partial record
-// or a final record with a bad checksum is dropped and reported via
-// TrainingLog::torn_tail; corruption anywhere BEFORE the tail still throws
-// — that is bit rot, not a torn append, and must not train a model.
+// Unlike the corpus, the log HEALS A TORN TAIL: it is appended by a live
+// server that can crash (or hit the flywheel.log.append failpoint)
+// mid-record, and losing the newest pair must not strand every previously
+// captured one. Corruption anywhere BEFORE the tail still throws — that is
+// bit rot, not a torn append, and must not train a model.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/file.h"
 
 namespace ldmo::flywheel {
 
@@ -40,14 +39,14 @@ struct TrainingLog {
   std::vector<TrainingPair> pairs;
   /// True when the file ended in a partial or checksum-failed final record
   /// (dropped from `pairs`). Expected after a crash mid-append; the next
-  /// append overwrites nothing — the writer always appends at the end of
-  /// the last WHOLE record boundary it can trust.
+  /// writer cuts the same bytes away before it appends.
   bool torn_tail = false;
 };
 
 /// Appends pairs to `path`, creating the file (with header) when absent.
-/// Opening an existing file validates magic and image size; a torn tail is
-/// truncated away so subsequent appends land on a record boundary.
+/// Opening an existing file validates magic and image size; a torn tail
+/// (the reader's rule) is truncated away so subsequent appends land after
+/// the last trusted record.
 class TrainingLogWriter {
  public:
   TrainingLogWriter(std::string path, int image_size);
@@ -58,14 +57,12 @@ class TrainingLogWriter {
   /// failure; a crash mid-write loses at most this record.
   void append(const TrainingPair& pair);
 
-  int image_size() const { return image_size_; }
-  std::size_t appended() const { return appended_; }
-  const std::string& path() const { return path_; }
+  int image_size() const { return static_cast<int>(log_.dimension()); }
+  std::size_t appended() const { return log_.appended(); }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  std::string path_;
-  int image_size_ = 0;
-  std::size_t appended_ = 0;
+  common::RecordLogWriter log_;
 };
 
 /// Reads a training log, dropping (and flagging) a torn tail. Throws
@@ -73,8 +70,8 @@ class TrainingLogWriter {
 /// mismatch anywhere before the final record.
 TrainingLog read_training_log(const std::string& path);
 
-/// Whole-record count of a log file from header and size alone (a torn
-/// tail rounds down; header validation only).
+/// Record count of a log file without reading the payload: header, size
+/// and the final record's checksum (a torn tail is not counted).
 std::size_t training_log_record_count(const std::string& path);
 
 /// On-disk size of one record at this image size (sizing/telemetry).

@@ -3,11 +3,10 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
-#include <fstream>
 #include <utility>
 
+#include "common/file.h"
 #include "common/flow_error.h"
 #include "common/log.h"
 #include "core/predictor.h"
@@ -15,6 +14,7 @@
 #include "net/snapshot.h"
 #include "net/wire.h"
 #include "nn/resnet.h"
+#include "nn/serialize.h"
 #include "obs/metrics.h"
 #include "warmstart/warm_start.h"
 
@@ -24,15 +24,6 @@ namespace {
 
 constexpr int kPollMillis = 100;        ///< stop-flag latency per connection
 constexpr double kFrameTimeout = 30.0;  ///< mid-frame stall guard
-
-std::vector<std::uint8_t> read_file_bytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw FlowException(FlowStage::kNet,
-                        "daemon: cannot read weights file " + path);
-  return std::vector<std::uint8_t>{std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>()};
-}
 
 std::string peer_of(int fd) {
   sockaddr_in addr{};
@@ -47,22 +38,17 @@ void send_error(int fd, const std::string& peer, FlowStage stage,
   send_error_frame(fd, peer, static_cast<int>(stage), message);
 }
 
-void stage_bytes(const std::string& path,
-                 const std::vector<std::uint8_t>& blob) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  if (!out)
-    throw FlowException(FlowStage::kNet,
-                        "daemon: cannot stage weights at " + path);
-}
-
 }  // namespace
 
 ServeDaemon::ServeDaemon(DaemonConfig config)
     : config_(std::move(config)), listener_(config_.listen_port) {
-  if (!config_.weights_path.empty())
-    weights_blob_ = read_file_bytes(config_.weights_path);
+  if (!config_.weights_path.empty()) {
+    try {
+      weights_blob_ = common::read_file(config_.weights_path);
+    } catch (const Error& e) {
+      throw FlowException(FlowStage::kNet, std::string("daemon: ") + e.what());
+    }
+  }
   server_ = build_server(0);
 
   if (!config_.snapshot_path.empty()) {
@@ -93,18 +79,14 @@ std::shared_ptr<serve::Server> ServeDaemon::build_server(
     std::uint64_t version) {
   std::unique_ptr<core::PrintabilityPredictor> backend;
   if (!weights_blob_.empty()) {
-    // Reconstitute the CNN from the blob via the nn serializer (it
-    // validates the parameter layout, so an architecture mismatch fails
-    // loudly here instead of scoring garbage).
-    const std::string tmp =
-        stage_path(".v" + std::to_string(version));
-    stage_bytes(tmp, weights_blob_);
-    auto cnn = std::make_unique<core::CnnPredictor>(
-        std::make_unique<nn::ResNetRegressor>());
-    cnn->load(tmp);
-    std::remove(tmp.c_str());
-    backend =
-        std::make_unique<core::VersionedPredictor>(std::move(cnn), version);
+    // Reconstitute the CNN from the blob in memory (decoding validates the
+    // parameter layout, so an architecture mismatch fails loudly here
+    // instead of scoring garbage).
+    auto net = std::make_unique<nn::ResNetRegressor>();
+    nn::decode_parameters(net->parameters(), weights_blob_,
+                          "weights v" + std::to_string(version));
+    backend = std::make_unique<core::VersionedPredictor>(
+        std::make_unique<core::CnnPredictor>(std::move(net)), version);
   }
   // Null backend -> the server's raw-print fallback. Its name is version-
   // independent, so an empty-blob swap (rolling restart) keeps the same
@@ -258,13 +240,6 @@ void ServeDaemon::handle_stats(int fd, const std::string& peer) {
   write_frame(fd, MessageType::kStatsResponse, w.bytes(), peer);
 }
 
-std::string ServeDaemon::stage_path(const std::string& suffix) const {
-  return (config_.snapshot_path.empty()
-              ? "/tmp/ldmo_weights_" + std::to_string(::getpid())
-              : config_.snapshot_path + ".weights") +
-         suffix;
-}
-
 std::uint64_t ServeDaemon::swap_weights(
     std::uint64_t requested_version, const std::vector<std::uint8_t>& blob,
     const std::vector<std::uint8_t>& warm_blob) {
@@ -290,11 +265,10 @@ std::uint64_t ServeDaemon::swap_weights(
       // cached result the old MaskNet contributed to. Before this path
       // existed a weight push left workers serving with the boot-time
       // MaskNet forever.
-      const std::string tmp = stage_path(".warm");
-      stage_bytes(tmp, warm_blob);
       auto warm = std::make_shared<warmstart::MaskWarmStart>(config_.warm_net);
-      warm->load(tmp);
-      std::remove(tmp.c_str());
+      nn::decode_parameters(warm->net().parameters(), warm_blob,
+                            "warm-start weights");
+      warm->refresh_version();
       config_.serve.warm_start = std::move(warm);
       config_.serve.engine.flow.warm_start.enabled = true;
     }

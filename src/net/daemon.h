@@ -43,7 +43,7 @@ struct DaemonConfig {
   /// TCP port on 127.0.0.1; 0 picks an ephemeral port (read via port()).
   int listen_port = 0;
   serve::ServeConfig serve;
-  /// Optional CNN weights to serve with (nn::save_parameters format);
+  /// Optional CNN weights to serve with (nn::encode_parameters format);
   /// empty serves the raw-print fallback predictor.
   std::string weights_path;
   /// Optional result-cache snapshot file: restored at startup, written at
@@ -110,11 +110,10 @@ class ServeDaemon {
   /// fallback/weights identity) with the version folded into the predictor
   /// name.
   std::shared_ptr<serve::Server> build_server(std::uint64_t version);
-  /// Scratch file for staging weight blobs through the nn serializer.
-  std::string stage_path(const std::string& suffix) const;
 
   DaemonConfig config_;
-  /// Current CNN weight blob (file bytes); empty = raw-print fallback.
+  /// Current CNN weight blob (decoded in memory on every server build);
+  /// empty = raw-print fallback.
   std::vector<std::uint8_t> weights_blob_;
   std::atomic<std::uint64_t> weights_version_{0};
   std::size_t restored_entries_ = 0;

@@ -1,8 +1,8 @@
 #include "net/snapshot.h"
 
-#include <cstdio>
-#include <fstream>
+#include <filesystem>
 
+#include "common/file.h"
 #include "common/flow_error.h"
 #include "net/wire.h"
 
@@ -37,28 +37,16 @@ void save_cache_snapshot(const std::string& path,
     write_result(w, result);
   }
 
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out)
-      throw FlowException(FlowStage::kNet,
-                          "snapshot: cannot open " + tmp + " for writing");
-    out.write(reinterpret_cast<const char*>(w.bytes().data()),
-              static_cast<std::streamsize>(w.size()));
-    if (!out)
-      throw FlowException(FlowStage::kNet, "snapshot: write to " + tmp +
-                                               " failed");
+  try {
+    common::write_file_atomic(path, w.bytes());
+  } catch (const Error& e) {
+    throw FlowException(FlowStage::kNet, std::string("snapshot: ") + e.what());
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0)
-    throw FlowException(FlowStage::kNet,
-                        "snapshot: cannot rename " + tmp + " to " + path);
 }
 
 std::optional<CacheSnapshot> load_cache_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;  // cold start
-  std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
-                                  std::istreambuf_iterator<char>()};
+  if (!std::filesystem::exists(path)) return std::nullopt;  // cold start
+  const std::vector<std::uint8_t> bytes = common::read_file(path);
 
   WireReader r(bytes, path);
   for (char magic : kSnapshotMagic) {
@@ -73,6 +61,11 @@ std::optional<CacheSnapshot> load_cache_snapshot(const std::string& path) {
   CacheSnapshot snapshot;
   snapshot.config_fingerprint = r.u64();
   const std::uint32_t count = r.u32();
+  // Each entry holds at least its u64 key: a count beyond that is corrupt,
+  // and must not size an allocation.
+  if (count > r.remaining() / sizeof(std::uint64_t))
+    r.fail("entry count " + std::to_string(count) +
+           " exceeds remaining payload");
   snapshot.entries.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint64_t key = r.u64();

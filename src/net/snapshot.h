@@ -15,9 +15,9 @@
 // snapshot taken under a different configuration (those keys could never be
 // looked up — carrying them would only burn cache budget).
 //
-// Writes go to `<path>.tmp` then rename into place, the same atomic
-// discipline as nn::save_parameters: a crash mid-write never destroys the
-// previous snapshot.
+// Writes go through common::write_file_atomic (`<path>.tmp`, then rename
+// into place), the same path nn::save_parameters takes: a crash mid-write
+// never destroys the previous snapshot.
 #pragma once
 
 #include <cstdint>

@@ -1,11 +1,10 @@
 #include "nn/serialize.h"
 
-#include <cstdint>
-#include <cstdio>
-#include <fstream>
+#include <cstring>
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/file.h"
 
 namespace ldmo::nn {
 namespace {
@@ -13,9 +12,8 @@ constexpr std::uint32_t kMagic = 0x4C444D4F;  // "LDMO"
 constexpr std::uint64_t kHeaderBytes =
     sizeof(std::uint32_t) + sizeof(std::uint64_t);
 
-/// Bytes a well-formed file for this parameter list must occupy, exactly.
-std::uint64_t expected_file_bytes(
-    const std::vector<Parameter*>& parameters) {
+/// Bytes a well-formed blob for this parameter list must occupy, exactly.
+std::uint64_t expected_bytes(const std::vector<Parameter*>& parameters) {
   std::uint64_t total = kHeaderBytes;
   for (const Parameter* p : parameters) {
     require(p != nullptr, "serialize: null parameter");
@@ -25,82 +23,84 @@ std::uint64_t expected_file_bytes(
   return total;
 }
 
+std::uint64_t load_u64(const std::uint8_t* in) {
+  std::uint64_t value = 0;
+  std::memcpy(&value, in, sizeof(value));
+  return value;
+}
+
 }  // namespace
+
+std::vector<std::uint8_t> encode_parameters(
+    const std::vector<Parameter*>& parameters) {
+  fail::maybe_fail("nn.save", FlowStage::kPredict);
+  std::vector<std::uint8_t> bytes(expected_bytes(parameters));
+  std::uint8_t* out = bytes.data();
+  const auto put = [&out](const void* src, std::size_t n) {
+    std::memcpy(out, src, n);
+    out += n;
+  };
+  const std::uint32_t magic = kMagic;
+  const std::uint64_t count = parameters.size();
+  put(&magic, sizeof(magic));
+  put(&count, sizeof(count));
+  for (const Parameter* p : parameters) {
+    const std::uint64_t elements = p->value.size();
+    put(&elements, sizeof(elements));
+    put(p->value.data(), elements * sizeof(float));
+  }
+  return bytes;
+}
+
+void decode_parameters(const std::vector<Parameter*>& parameters,
+                       std::span<const std::uint8_t> bytes,
+                       const std::string& source) {
+  fail::maybe_fail("nn.load", FlowStage::kPredict);
+  // Bound everything against the actual size up front: a corrupt header
+  // cannot ask for more bytes than exist, and trailing garbage after the
+  // last tensor is rejected instead of silently ignored.
+  require(bytes.size() >= kHeaderBytes,
+          "decode_parameters: truncated header in " + source);
+  const std::uint64_t expected = expected_bytes(parameters);
+  require(bytes.size() >= expected,
+          "decode_parameters: truncated " + source);
+  require(bytes.size() <= expected,
+          "decode_parameters: trailing bytes after last tensor in " + source);
+
+  std::uint32_t magic = 0;
+  std::memcpy(&magic, bytes.data(), sizeof(magic));
+  require(magic == kMagic,
+          "decode_parameters: not an LDMO weight file: " + source);
+  const std::uint64_t count = load_u64(bytes.data() + sizeof(magic));
+  require(count == parameters.size(),
+          "decode_parameters: parameter count mismatch (" + source +
+              " has " + std::to_string(count) + ", network has " +
+              std::to_string(parameters.size()) + ")");
+  // Every element count must match before any value is copied, so a blob
+  // for another architecture never half-loads a live network.
+  std::size_t offset = kHeaderBytes;
+  for (const Parameter* p : parameters) {
+    require(load_u64(bytes.data() + offset) == p->value.size(),
+            "decode_parameters: parameter size mismatch in " + source);
+    offset += sizeof(std::uint64_t) + p->value.size() * sizeof(float);
+  }
+  offset = kHeaderBytes;
+  for (Parameter* p : parameters) {
+    offset += sizeof(std::uint64_t);
+    std::memcpy(p->value.data(), bytes.data() + offset,
+                p->value.size() * sizeof(float));
+    offset += p->value.size() * sizeof(float);
+  }
+}
 
 void save_parameters(const std::vector<Parameter*>& parameters,
                      const std::string& path) {
-  // Write-then-rename: a crash (or failpoint) mid-save leaves at worst a
-  // stale .tmp file — the previous weights at `path` survive intact. The
-  // rename is atomic on POSIX filesystems.
-  const std::string tmp = path + ".tmp";
-  try {
-    {
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      require(out.good(), "save_parameters: cannot open " + tmp);
-      const std::uint32_t magic = kMagic;
-      const std::uint64_t count = parameters.size();
-      out.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
-      out.write(reinterpret_cast<const char*>(&count), sizeof(count));
-      for (const Parameter* p : parameters) {
-        require(p != nullptr, "save_parameters: null parameter");
-        const std::uint64_t elements = p->value.size();
-        out.write(reinterpret_cast<const char*>(&elements),
-                  sizeof(elements));
-        out.write(reinterpret_cast<const char*>(p->value.data()),
-                  static_cast<std::streamsize>(elements * sizeof(float)));
-      }
-      fail::maybe_fail("nn.save", FlowStage::kPredict);
-      out.flush();
-      require(out.good(), "save_parameters: write failed for " + tmp);
-    }
-    require(std::rename(tmp.c_str(), path.c_str()) == 0,
-            "save_parameters: cannot rename " + tmp + " to " + path);
-  } catch (...) {
-    std::remove(tmp.c_str());  // best effort; the original is untouched
-    throw;
-  }
+  common::write_file_atomic(path, encode_parameters(parameters));
 }
 
 void load_parameters(const std::vector<Parameter*>& parameters,
                      const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  require(in.good(), "load_parameters: cannot open " + path);
-  fail::maybe_fail("nn.load", FlowStage::kPredict);
-
-  // Bound everything against the actual file size up front: a corrupt
-  // header cannot ask for more bytes than exist, and trailing garbage
-  // after the last tensor is rejected instead of silently ignored.
-  in.seekg(0, std::ios::end);
-  const std::uint64_t file_bytes =
-      static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  require(file_bytes >= kHeaderBytes,
-          "load_parameters: truncated header in " + path);
-  const std::uint64_t expected = expected_file_bytes(parameters);
-  require(file_bytes >= expected,
-          "load_parameters: truncated file " + path);
-  require(file_bytes <= expected,
-          "load_parameters: trailing bytes after last tensor in " + path);
-
-  std::uint32_t magic = 0;
-  std::uint64_t count = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  require(in.good() && magic == kMagic,
-          "load_parameters: not an LDMO weight file: " + path);
-  require(count == parameters.size(),
-          "load_parameters: parameter count mismatch (file has " +
-              std::to_string(count) + ", network has " +
-              std::to_string(parameters.size()) + ")");
-  for (Parameter* p : parameters) {
-    std::uint64_t elements = 0;
-    in.read(reinterpret_cast<char*>(&elements), sizeof(elements));
-    require(in.good() && elements == p->value.size(),
-            "load_parameters: parameter size mismatch");
-    in.read(reinterpret_cast<char*>(p->value.data()),
-            static_cast<std::streamsize>(elements * sizeof(float)));
-    require(in.good(), "load_parameters: truncated file " + path);
-  }
+  decode_parameters(parameters, common::read_file(path), path);
 }
 
 }  // namespace ldmo::nn

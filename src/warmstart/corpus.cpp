@@ -1,178 +1,67 @@
 #include "warmstart/corpus.h"
 
 #include <cstring>
-#include <fstream>
 
 #include "common/error.h"
-#include "common/hash.h"
 
 namespace ldmo::warmstart {
 namespace {
 
-constexpr char kMagic[8] = {'L', 'D', 'M', 'O', 'W', 'S', 'C', '1'};
-constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4;
+constexpr int kPlanes = 5;
 
-std::size_t plane_bytes(int grid_size) {
-  return static_cast<std::size_t>(grid_size) * grid_size * sizeof(float);
+std::size_t payload_bytes(std::uint32_t grid_size) {
+  return kPlanes * static_cast<std::size_t>(grid_size) * grid_size *
+         sizeof(float);
 }
 
-std::size_t record_bytes(int grid_size) {
-  return 5 * plane_bytes(grid_size) + sizeof(std::uint64_t);
-}
-
-std::uint64_t record_checksum(const ClipRecord& record, int grid_size) {
-  common::Fnv1a h;
-  const std::size_t bytes = plane_bytes(grid_size);
-  h.bytes(record.target.data(), bytes);
-  h.bytes(record.raster1.data(), bytes);
-  h.bytes(record.raster2.data(), bytes);
-  h.bytes(record.mask1.data(), bytes);
-  h.bytes(record.mask2.data(), bytes);
-  return h.digest();
-}
-
-void write_u32_le(std::ostream& out, std::uint32_t v) {
-  unsigned char b[4];
-  for (int i = 0; i < 4; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  out.write(reinterpret_cast<const char*>(b), 4);
-}
-
-void write_u64_le(std::ostream& out, std::uint64_t v) {
-  unsigned char b[8];
-  for (int i = 0; i < 8; ++i) b[i] = static_cast<unsigned char>(v >> (8 * i));
-  out.write(reinterpret_cast<const char*>(b), 8);
-}
-
-std::uint32_t read_u32_le(std::istream& in) {
-  unsigned char b[4] = {};
-  in.read(reinterpret_cast<char*>(b), 4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-  return v;
-}
-
-std::uint64_t read_u64_le(std::istream& in) {
-  unsigned char b[8] = {};
-  in.read(reinterpret_cast<char*>(b), 8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-  return v;
-}
-
-/// Opens `path` for validated reading, returning the grid size. `size_out`
-/// receives the total file size in bytes.
-int open_validated(const std::string& path, std::ifstream& in,
-                   std::size_t& size_out) {
-  in.open(path, std::ios::binary | std::ios::ate);
-  require(in.good(), "warmstart corpus: cannot open " + path);
-  size_out = static_cast<std::size_t>(in.tellg());
-  require(size_out >= kHeaderBytes,
-          "warmstart corpus: file shorter than header: " + path);
-  in.seekg(0);
-  char magic[sizeof(kMagic)] = {};
-  in.read(magic, sizeof(magic));
-  require(std::memcmp(magic, kMagic, sizeof(kMagic)) == 0,
-          "warmstart corpus: bad magic in " + path);
-  const std::uint32_t grid = read_u32_le(in);
-  require(in.good() && grid >= 8 && grid <= 4096,
-          "warmstart corpus: implausible grid size in " + path);
-  const std::size_t payload = size_out - kHeaderBytes;
-  require(payload % record_bytes(static_cast<int>(grid)) == 0,
-          "warmstart corpus: size is not a whole number of records "
-          "(truncated or torn append): " +
-              path);
-  return static_cast<int>(grid);
-}
+// Strict: a corrupt corpus never trains a model halfway.
+constexpr common::RecordFormat kFormat{"warmstart corpus",
+                                   {'L', 'D', 'M', 'O', 'W', 'S', 'C', '1'},
+                                   "grid size",
+                                   payload_bytes,
+                                   common::TailPolicy::kStrict};
 
 }  // namespace
 
 CorpusWriter::CorpusWriter(std::string path, int grid_size)
-    : path_(std::move(path)), grid_size_(grid_size) {
-  require(grid_size_ >= 8 && grid_size_ <= 4096,
-          "CorpusWriter: implausible grid size");
-  std::ifstream existing(path_, std::ios::binary);
-  if (existing.good() && existing.peek() != std::ifstream::traits_type::eof()) {
-    existing.close();
-    std::ifstream check;
-    std::size_t size = 0;
-    const int file_grid = open_validated(path_, check, size);
-    require(file_grid == grid_size_,
-            "CorpusWriter: existing corpus " + path_ + " has grid " +
-                std::to_string(file_grid) + ", expected " +
-                std::to_string(grid_size_));
-    return;  // header already present, appends go to the end
-  }
-  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
-  require(out.good(), "CorpusWriter: cannot create " + path_);
-  out.write(kMagic, sizeof(kMagic));
-  write_u32_le(out, static_cast<std::uint32_t>(grid_size_));
-  out.flush();
-  require(out.good(), "CorpusWriter: header write failed for " + path_);
-}
+    : log_(std::move(path), kFormat, static_cast<std::uint32_t>(grid_size)) {}
 
 void CorpusWriter::append(const ClipRecord& record) {
-  const std::size_t n =
-      static_cast<std::size_t>(grid_size_) * static_cast<std::size_t>(grid_size_);
-  require(record.target.size() == n && record.raster1.size() == n &&
-              record.raster2.size() == n && record.mask1.size() == n &&
-              record.mask2.size() == n,
-          "CorpusWriter::append: plane size does not match grid");
-  std::ofstream out(path_, std::ios::binary | std::ios::app);
-  require(out.good(), "CorpusWriter: cannot append to " + path_);
-  const std::size_t bytes = plane_bytes(grid_size_);
-  out.write(reinterpret_cast<const char*>(record.target.data()),
-            static_cast<std::streamsize>(bytes));
-  out.write(reinterpret_cast<const char*>(record.raster1.data()),
-            static_cast<std::streamsize>(bytes));
-  out.write(reinterpret_cast<const char*>(record.raster2.data()),
-            static_cast<std::streamsize>(bytes));
-  out.write(reinterpret_cast<const char*>(record.mask1.data()),
-            static_cast<std::streamsize>(bytes));
-  out.write(reinterpret_cast<const char*>(record.mask2.data()),
-            static_cast<std::streamsize>(bytes));
-  write_u64_le(out, record_checksum(record, grid_size_));
-  out.flush();
-  require(out.good(), "CorpusWriter: append failed for " + path_);
-  ++appended_;
+  const std::size_t n = static_cast<std::size_t>(grid_size()) * grid_size();
+  std::vector<std::uint8_t> payload(payload_bytes(log_.dimension()));
+  std::uint8_t* out = payload.data();
+  for (const std::vector<float>* plane : {&record.target, &record.raster1,
+                                          &record.raster2, &record.mask1,
+                                          &record.mask2}) {
+    require(plane->size() == n,
+            "CorpusWriter::append: plane size does not match grid");
+    std::memcpy(out, plane->data(), n * sizeof(float));
+    out += n * sizeof(float);
+  }
+  log_.append(payload);
 }
 
 Corpus read_corpus(const std::string& path) {
-  std::ifstream in;
-  std::size_t size = 0;
   Corpus corpus;
-  corpus.grid_size = open_validated(path, in, size);
-  const std::size_t count =
-      (size - kHeaderBytes) / record_bytes(corpus.grid_size);
-  const std::size_t n = static_cast<std::size_t>(corpus.grid_size) *
-                        static_cast<std::size_t>(corpus.grid_size);
-  corpus.records.reserve(count);
-  for (std::size_t r = 0; r < count; ++r) {
-    ClipRecord record;
-    const auto read_plane = [&](std::vector<float>& plane) {
-      plane.resize(n);
-      in.read(reinterpret_cast<char*>(plane.data()),
-              static_cast<std::streamsize>(n * sizeof(float)));
-    };
-    read_plane(record.target);
-    read_plane(record.raster1);
-    read_plane(record.raster2);
-    read_plane(record.mask1);
-    read_plane(record.mask2);
-    const std::uint64_t stored = read_u64_le(in);
-    require(in.good(), "warmstart corpus: short read in " + path);
-    require(stored == record_checksum(record, corpus.grid_size),
-            "warmstart corpus: checksum mismatch in record " +
-                std::to_string(r) + " of " + path);
-    corpus.records.push_back(std::move(record));
-  }
+  const common::RecordLogInfo info = common::read_record_log(
+      path, kFormat, [&](std::span<const std::uint8_t> payload) {
+        const std::size_t n = payload.size() / (kPlanes * sizeof(float));
+        const std::uint8_t* in = payload.data();
+        ClipRecord& record = corpus.records.emplace_back();
+        for (std::vector<float>* plane : {&record.target, &record.raster1,
+                                          &record.raster2, &record.mask1,
+                                          &record.mask2}) {
+          plane->resize(n);
+          std::memcpy(plane->data(), in, n * sizeof(float));
+          in += n * sizeof(float);
+        }
+      });
+  corpus.grid_size = static_cast<int>(info.dimension);
   return corpus;
 }
 
 std::size_t corpus_record_count(const std::string& path) {
-  std::ifstream in;
-  std::size_t size = 0;
-  const int grid = open_validated(path, in, size);
-  return (size - kHeaderBytes) / record_bytes(grid);
+  return common::read_record_log(path, kFormat).records;
 }
 
 }  // namespace ldmo::warmstart

@@ -1,23 +1,22 @@
 // Append-only binary training corpus for the warm-start MaskNet.
 //
-// One file holds clips at a fixed grid resolution. Layout:
+// One file holds clips at a fixed grid resolution, framed by the common
+// record log (common/file.h): magic "LDMOWSC1" + u32 grid_size, then one
+// record per clip whose payload is 5 float32 planes of grid_size^2 each,
+// in order target, raster1, raster2, mask1, mask2.
 //
-//   header:  magic "LDMOWSC1" (8 bytes) + u32 little-endian grid_size
-//   records: 5 float32 planes of grid_size^2 each, in order
-//              target, raster1, raster2, mask1, mask2
-//            followed by a u64 FNV-1a checksum of the 5 planes' bytes.
-//
-// Records are fixed-size, so the count is derived from the file size; a
-// file whose size is not header + k * record is rejected outright, as is
-// any record whose checksum does not match (torn append, bit rot). The
-// harvester appends with CorpusWriter; training reads the whole file with
-// read_corpus. No index, no compaction — the corpus is write-once data
-// that retrains a model, not a database.
+// The corpus uses the strict tail policy: a file whose size is not header
+// + k * record, or any record whose checksum does not match (torn append,
+// bit rot), is rejected outright. The harvester appends with CorpusWriter;
+// training reads the whole file with read_corpus. No index, no compaction
+// — the corpus is write-once data that retrains a model, not a database.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "common/file.h"
 
 namespace ldmo::warmstart {
 
@@ -39,7 +38,8 @@ struct Corpus {
 };
 
 /// Appends records to `path`, creating the file (with header) when absent.
-/// Opening an existing file validates its header against `grid_size`.
+/// Opening an existing file validates its header against `grid_size` and
+/// refuses a torn or corrupt final record (the reader's strict rule).
 class CorpusWriter {
  public:
   CorpusWriter(std::string path, int grid_size);
@@ -49,14 +49,12 @@ class CorpusWriter {
   /// record being written — which the strict reader then rejects by size.
   void append(const ClipRecord& record);
 
-  int grid_size() const { return grid_size_; }
-  std::size_t appended() const { return appended_; }
-  const std::string& path() const { return path_; }
+  int grid_size() const { return static_cast<int>(log_.dimension()); }
+  std::size_t appended() const { return log_.appended(); }
+  const std::string& path() const { return log_.path(); }
 
  private:
-  std::string path_;
-  int grid_size_ = 0;
-  std::size_t appended_ = 0;
+  common::RecordLogWriter log_;
 };
 
 /// Reads and validates an entire corpus file. Throws ldmo::Error on bad
@@ -64,8 +62,8 @@ class CorpusWriter {
 /// any checksum mismatch — a corrupt corpus never trains a model halfway.
 Corpus read_corpus(const std::string& path);
 
-/// Record count of a corpus file without reading the payload (header and
-/// size validation only).
+/// Record count of a corpus file without reading the payload (header,
+/// size and final-record validation only).
 std::size_t corpus_record_count(const std::string& path);
 
 }  // namespace ldmo::warmstart

@@ -2,9 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <set>
+#include <vector>
 
 #include "common/error.h"
+#include "common/file.h"
 #include "common/grid.h"
 #include "common/hash.h"
 #include "common/log.h"
@@ -307,6 +310,32 @@ TEST(Log, JsonFormatLineIsParseableAndEscaped) {
   // One object per line: embedded newlines in the message must not break
   // line-oriented consumers.
   EXPECT_EQ(line.find('\n'), std::string::npos);
+}
+
+TEST(File, AtomicWriteCleansUpWhenRenameFails) {
+  namespace fs = std::filesystem;
+  const std::string path = ::testing::TempDir() + "ldmo_common_atomic";
+  fs::remove_all(path);
+  const std::vector<std::uint8_t> first = {1, 2, 3};
+  const std::vector<std::uint8_t> second = {4, 5};
+  common::write_file_atomic(path, first);
+  common::write_file_atomic(path, second);  // replaces, no tmp left over
+  EXPECT_EQ(common::read_file(path), second);
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  fs::remove(path);
+
+  // A directory at the target makes the rename fail after the tmp file
+  // was written: the call throws, the directory and its contents survive,
+  // and the tmp file is gone.
+  fs::create_directory(path);
+  common::write_file_atomic(path + "/inside", first);
+  EXPECT_THROW(common::write_file_atomic(path, second), Error);
+  EXPECT_TRUE(fs::is_directory(path));
+  EXPECT_EQ(common::read_file(path + "/inside"), first);
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+  fs::remove_all(path);
+
+  EXPECT_THROW((void)common::read_file(path), Error);  // now missing
 }
 
 }  // namespace

@@ -31,6 +31,8 @@
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
+#include "corruption_sweep.h"
 #include "core/predictor.h"
 #include "flywheel/log.h"
 #include "flywheel/sink.h"
@@ -152,6 +154,13 @@ TEST_F(FlywheelTest, LogRoundTripPreservesPairsAndOrder) {
     EXPECT_EQ(writer.appended(), 3u);
   }
   EXPECT_EQ(training_log_record_count(path), 3u);
+  {
+    // Byte pin of the whole file: header, records and checksum trailers.
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    EXPECT_EQ(common::fnv1a(bytes), 0x167e37af356d9e31ull);
+  }
   const TrainingLog log = read_training_log(path);
   EXPECT_EQ(log.image_size, 8);
   EXPECT_FALSE(log.torn_tail);
@@ -233,6 +242,14 @@ TEST_F(FlywheelTest, CorruptFinalChecksumIsATornTailNotAnError) {
   const TrainingLog log = read_training_log(path);
   EXPECT_TRUE(log.torn_tail);
   ASSERT_EQ(log.pairs.size(), 1u);
+
+  // The reopening writer applies the reader's rule: the bad final record
+  // is cut away, so the next append does not bury it mid-file.
+  TrainingLogWriter(path, 8).append(flat_pair(8, 0.9));
+  const TrainingLog healed = read_training_log(path);
+  EXPECT_FALSE(healed.torn_tail);
+  ASSERT_EQ(healed.pairs.size(), 2u);
+  EXPECT_DOUBLE_EQ(healed.pairs[1].score, 0.9);
 }
 
 TEST_F(FlywheelTest, CorruptionBeforeTheTailThrows) {
@@ -245,6 +262,33 @@ TEST_F(FlywheelTest, CorruptionBeforeTheTailThrows) {
     file.put(static_cast<char>(0xFF));
   }
   EXPECT_THROW((void)read_training_log(path), Error);
+
+  // Seeded sweep over a pristine log: every truncation and byte flip
+  // either throws Error or reads back a prefix of the original pairs bit
+  // for bit — a pair is only ever returned after its checksum passed.
+  const std::string pristine = scratch("test_flywheel_pristine.bin");
+  const std::string mutated = scratch("test_flywheel_mutated.bin");
+  write_flat_log(pristine, 8, 3);
+  const TrainingLog original = read_training_log(pristine);
+  std::ifstream in(pristine, std::ios::binary);
+  const std::string blob{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  corruption::for_each_mutation(blob, [&](const std::string& bytes) {
+    std::ofstream(mutated, std::ios::binary | std::ios::trunc) << bytes;
+    try {
+      (void)training_log_record_count(mutated);
+    } catch (const Error&) {
+    }
+    try {
+      const TrainingLog got = read_training_log(mutated);
+      ASSERT_LE(got.pairs.size(), original.pairs.size());
+      for (std::size_t i = 0; i < got.pairs.size(); ++i) {
+        EXPECT_EQ(got.pairs[i].image, original.pairs[i].image);
+        EXPECT_EQ(got.pairs[i].score, original.pairs[i].score);
+      }
+    } catch (const Error&) {
+    }
+  });
 }
 
 // --- capture sink -----------------------------------------------------------
@@ -507,7 +551,6 @@ TEST_F(FlywheelTest, MistrainedIncumbentRecoversViaGatedPromotion) {
 
 TEST_F(FlywheelTest, ServeCaptureTuneSwapLoopEndToEnd) {
   const std::string path = scratch("test_flywheel_loop.bin");
-  const std::string weights = scratch("test_flywheel_loop_weights.bin");
   scratch(path + ".candidate.bin");
 
   auto sink = std::make_shared<TrainingLogSink>(SinkConfig{
@@ -537,7 +580,7 @@ TEST_F(FlywheelTest, ServeCaptureTuneSwapLoopEndToEnd) {
   tcfg.trainer.batch_size = 6;
   tcfg.min_new_records = 8;
   tcfg.holdout_every = 3;
-  FineTuner tuner(tcfg, local_promoter(server, tcfg.network, weights));
+  FineTuner tuner(tcfg, local_promoter(server, tcfg.network));
   const TuneRound round = tuner.run_once();
   EXPECT_TRUE(round.attempted);
   ASSERT_TRUE(round.promoted);

@@ -36,6 +36,7 @@
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "corruption_sweep.h"
 #include "layout/fingerprint.h"
 #include "layout/generator.h"
 #include "net/client.h"
@@ -764,6 +765,13 @@ TEST_F(NetTest, SnapshotRoundTripPreservesEntriesAndOrder) {
   second.total_seconds = 9.0;
   snapshot.entries.emplace_back(22, second);
   save_cache_snapshot(path, snapshot);
+  {
+    // Byte pin of the whole file.
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    EXPECT_EQ(common::fnv1a(bytes), 0x5cd5c38803474fc8ull);
+  }
 
   const std::optional<CacheSnapshot> loaded = load_cache_snapshot(path);
   ASSERT_TRUE(loaded.has_value());
@@ -835,6 +843,26 @@ TEST_F(NetTest, CorruptSnapshotsThrowWithPathAttribution) {
     EXPECT_EQ(e.stage(), FlowStage::kNet);
     EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
   }
+
+  // Seeded sweep over a two-entry snapshot: every truncation and byte flip
+  // either loads or throws FlowException(kNet) naming the file.
+  CacheSnapshot snapshot;
+  snapshot.config_fingerprint = 1;
+  snapshot.entries.emplace_back(5, golden_result());
+  snapshot.entries.emplace_back(6, golden_result());
+  save_cache_snapshot(path, snapshot);
+  std::ifstream in(path, std::ios::binary);
+  const std::string blob{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  corruption::for_each_mutation(blob, [&](const std::string& bytes) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    try {
+      (void)load_cache_snapshot(path);
+    } catch (const FlowException& e) {
+      EXPECT_EQ(e.stage(), FlowStage::kNet);
+      EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
+    }
+  });
 }
 
 // --- daemon + client loopback ----------------------------------------------

@@ -12,6 +12,8 @@
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "common/hash.h"
+#include "corruption_sweep.h"
 #include "nn/batchnorm.h"
 #include "nn/conv.h"
 #include "nn/deconv.h"
@@ -623,6 +625,14 @@ TEST(Serialize, RoundTripRestoresPredictions) {
     for (std::size_t i = 0; i < p->value.size(); i += 3) p->value[i] += 0.1f;
   const Tensor ya = a.forward(x, false);
   save_parameters(a.parameters(), path);
+  // Byte pin: the file layout (host-order u32 magic, u64 counts, raw
+  // float payloads) is what every deployed weight file holds.
+  {
+    std::ifstream in(path, std::ios::binary);
+    const std::string bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    EXPECT_EQ(common::fnv1a(bytes), 0xd9197124d45a961full);
+  }
 
   ResNetRegressor b(tiny_config());
   const Tensor yb_before = b.forward(x, false);
@@ -704,6 +714,34 @@ TEST(Serialize, CorruptFileCorpusRejected) {
   std::vector<char> trailing = good;
   trailing.insert(trailing.end(), {1, 2, 3, 4});
   expect_rejected(trailing);
+
+  // Seeded sweep: every truncation and byte flip either loads (a flipped
+  // payload float is still a well-formed file) or throws ldmo::Error and
+  // leaves the network untouched (zeroed before each load, so a partial
+  // load shows).
+  ResNetRegressor victim(tiny_config());
+  corruption::for_each_mutation(good, [&](const std::vector<char>& bytes) {
+    write_file(bad_path, bytes);
+    for (Parameter* p : victim.parameters()) p->value.fill(0.0f);
+    try {
+      load_parameters(victim.parameters(), bad_path);
+    } catch (const ldmo::Error&) {
+      for (const Parameter* p : victim.parameters())
+        EXPECT_EQ(p->value, Tensor::zeros(p->value.shape()));
+    }
+  });
+
+  // Length lie: the last tensor's element count is off by one while the
+  // total size still matches, so only the per-tensor check can catch it —
+  // and it must do so before any earlier tensor is copied.
+  std::vector<char> lying = good;
+  const std::size_t last = net.parameters().back()->value.size();
+  lying[good.size() - last * sizeof(float) - sizeof(std::uint64_t)] ^= 1;
+  write_file(bad_path, lying);
+  for (Parameter* p : victim.parameters()) p->value.fill(0.0f);
+  EXPECT_THROW(load_parameters(victim.parameters(), bad_path), ldmo::Error);
+  for (const Parameter* p : victim.parameters())
+    EXPECT_EQ(p->value, Tensor::zeros(p->value.shape()));
 
   // The pristine file still loads: the corpus rejected structure, not the
   // loader.
