@@ -74,10 +74,11 @@ void ablation_fallback(const litho::LithoSimulator& simulator) {
     core::LdmoConfig cfg;
     cfg.ilt = bench::paper_ilt();
     cfg.max_fallbacks = fallbacks;
-    core::LdmoFlow flow(simulator, predictor, cfg);
+    const opc::IltEngine engine(simulator, cfg.ilt);
     int epe = 0, viol = 0, tried = 0;
     for (std::uint64_t seed : {9004, 9008, 9012}) {
-      const core::LdmoResult r = flow.run(gen.generate(seed));
+      const core::LdmoResult r =
+          core::run_ldmo_flow(engine, predictor, cfg, gen.generate(seed));
       epe += r.ilt.report.epe.violation_count;
       viol += r.ilt.report.violations.total();
       tried += r.candidates_tried;

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   core::UnifiedGreedyFlow unified(simulator, unified_cfg);
   core::LdmoConfig ours_cfg;
   ours_cfg.ilt = bench::paper_ilt();
-  core::LdmoFlow ours(simulator, *bundle.predictor, ours_cfg);
+  const opc::IltEngine ours_engine(simulator, ours_cfg.ilt);
 
   layout::LayoutGenerator gen = bench::experiment_generator();
   std::printf("Fig. 7 reproduction: qualitative comparison vs ICCAD'17 [10]\n");
@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
   for (const std::string cell : {"AOI211_X1", "NAND3_X2", "BUF_X1"}) {
     const layout::Layout l = gen.generate_cell(cell);
     const core::BaselineFlowResult r10 = unified.run(l);
-    const core::LdmoResult r_ours = ours.run(l);
+    const core::LdmoResult r_ours =
+        core::run_ldmo_flow(ours_engine, *bundle.predictor, ours_cfg, l);
     const int epe10 = r10.ilt.report.epe.violation_count;
     const int epe_ours = r_ours.ilt.report.epe.violation_count;
     std::printf("%-12s | %12d | %12d\n", cell.c_str(), epe10, epe_ours);

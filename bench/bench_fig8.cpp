@@ -40,15 +40,16 @@ int main(int argc, char** argv) {
 
   core::LdmoConfig cfg;
   cfg.ilt = bench::paper_ilt();
-  core::LdmoFlow ours_flow(simulator, *ours_bundle.predictor, cfg);
-  core::LdmoFlow random_flow(simulator, *random_bundle.predictor, cfg);
+  const opc::IltEngine engine(simulator, cfg.ilt);
 
   int ours_epe = 0, random_epe = 0;
   double ours_time = 0.0, random_time = 0.0;
   const std::vector<layout::Layout> layouts = bench::table1_layouts();
   for (const layout::Layout& l : layouts) {
-    const core::LdmoResult a = ours_flow.run(l);
-    const core::LdmoResult b = random_flow.run(l);
+    const core::LdmoResult a =
+        core::run_ldmo_flow(engine, *ours_bundle.predictor, cfg, l);
+    const core::LdmoResult b =
+        core::run_ldmo_flow(engine, *random_bundle.predictor, cfg, l);
     ours_epe += a.ilt.report.epe.violation_count;
     random_epe += b.ilt.report.epe.violation_count;
     ours_time += a.total_seconds;

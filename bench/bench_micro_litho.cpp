@@ -79,7 +79,7 @@ void BM_IltStep(benchmark::State& state) {
   bench_alloc::PoolProbe probe;
   for (auto _ : state) {
     engine.step(ilt_state, target, scratch);
-    benchmark::DoNotOptimize(ilt_state.p1.data());
+    benchmark::DoNotOptimize(ilt_state.p[0].data());
   }
   probe.finish(state);
 }

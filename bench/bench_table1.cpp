@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   core::UnifiedGreedyFlow unified_flow(simulator, unified_cfg);
   core::LdmoConfig ours_cfg;
   ours_cfg.ilt = bench::paper_ilt();
-  core::LdmoFlow ours_flow(simulator, *bundle.predictor, ours_cfg);
+  const opc::IltEngine ours_engine(simulator, ours_cfg.ilt);
 
   FlowStats suald, balanced, unified, ours;
 
@@ -93,7 +93,8 @@ int main(int argc, char** argv) {
     const core::BaselineFlowResult r16 = suald_flow.run(l);
     const core::BaselineFlowResult r17 = balanced_flow.run(l);
     const core::BaselineFlowResult r10 = unified_flow.run(l);
-    const core::LdmoResult r_ours = ours_flow.run(l);
+    const core::LdmoResult r_ours =
+        core::run_ldmo_flow(ours_engine, *bundle.predictor, ours_cfg, l);
 
     suald.add(r16.ilt.report.epe.violation_count, r16.total_seconds);
     balanced.add(r17.ilt.report.epe.violation_count, r17.total_seconds);

@@ -29,7 +29,8 @@ int main() {
       });
   core::UnifiedGreedyFlow unified(simulator, {});
   core::RawPrintPredictor predictor(simulator);
-  core::LdmoFlow ours(simulator, predictor, {});
+  const core::LdmoConfig ours_config;
+  const opc::IltEngine ours_engine(simulator, ours_config.ilt);
 
   layout::LayoutGenerator generator;
   std::printf("%-6s | %-13s | %-13s | %-13s | %-13s\n", "seed",
@@ -41,7 +42,7 @@ int main() {
     const auto r1 = suald.run(l);
     const auto r2 = balanced.run(l);
     const auto r3 = unified.run(l);
-    const auto r4 = ours.run(l);
+    const auto r4 = core::run_ldmo_flow(ours_engine, predictor, ours_config, l);
     std::printf(
         "%-6llu | %5d %6.2f | %5d %6.2f | %5d %6.2f | %5d %6.2f\n",
         static_cast<unsigned long long>(seed),

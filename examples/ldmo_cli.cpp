@@ -259,8 +259,9 @@ int cmd_run(int argc, char** argv) {
         r = engine.run(l);
       } else {
         core::RawPrintPredictor predictor(simulator);
-        core::LdmoFlow flow(simulator, predictor, {});
-        r = flow.run(l);
+        const core::LdmoConfig config;
+        r = core::run_ldmo_flow(opc::IltEngine(simulator, config.ilt),
+                                predictor, config, l);
       }
       if (r.failed) {
         // e.g. an LDMO_FAILPOINTS-armed site fired: report the stage

@@ -34,8 +34,9 @@ int main() {
 
   // The LDMO flow (Fig. 2 of the paper) with a simulation-based predictor.
   core::RawPrintPredictor predictor(simulator);
-  core::LdmoFlow flow(simulator, predictor, {});
-  const core::LdmoResult result = flow.run(layout);
+  const core::LdmoConfig config;
+  const core::LdmoResult result = core::run_ldmo_flow(
+      opc::IltEngine(simulator, config.ilt), predictor, config, layout);
 
   std::printf("Candidates generated: %d, ILT attempts: %d\n",
               result.candidates_generated, result.candidates_tried);

@@ -7,7 +7,7 @@
 #include "layout/io.h"
 #include "layout/layout.h"
 #include "mpl/tpl.h"
-#include "opc/mpl_ilt.h"
+#include "opc/ilt.h"
 
 int main() {
   using namespace ldmo;
@@ -37,11 +37,11 @@ int main() {
   opc::IltConfig ilt_cfg;
   ilt_cfg.max_iterations = 20;
   ilt_cfg.theta_m_anneal = 1.12;
-  opc::MplIltEngine dpl(simulator, 2, ilt_cfg);
-  opc::MplIltEngine tpl(simulator, 3, ilt_cfg);
+  opc::IltEngine dpl(simulator, ilt_cfg, 2);
+  opc::IltEngine tpl(simulator, ilt_cfg, 3);
 
-  const opc::MplIltResult dpl_result = dpl.optimize(l, {0, 1, 1});
-  const opc::MplIltResult tpl_result =
+  const opc::IltResult dpl_result = dpl.optimize(l, {0, 1, 1});
+  const opc::IltResult tpl_result =
       tpl.optimize(l, generated.candidates[0]);
 
   std::printf("\n%-22s | %8s | %10s | %8s\n", "flow", "EPE#",
@@ -53,9 +53,9 @@ int main() {
               tpl_result.report.epe.violation_count,
               tpl_result.report.violations.total(), tpl_result.report.l2);
 
-  for (std::size_t m = 0; m < tpl_result.masks.size(); ++m)
-    layout::write_pgm(tpl_result.masks[m],
-                      "tpl_mask" + std::to_string(m + 1) + ".pgm");
+  layout::write_pgm(tpl_result.mask1, "tpl_mask1.pgm");
+  layout::write_pgm(tpl_result.mask2, "tpl_mask2.pgm");
+  layout::write_pgm(tpl_result.extra_masks[0], "tpl_mask3.pgm");
   layout::write_pgm(tpl_result.response, "tpl_print.pgm");
   std::printf("\nWrote tpl_mask{1,2,3}.pgm and tpl_print.pgm\n");
   return 0;

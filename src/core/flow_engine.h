@@ -1,8 +1,8 @@
 // Reusable LDMO session engine (the top of the memory architecture,
 // DESIGN.md §9).
 //
-// LdmoFlow binds caller-owned components per call; FlowEngine instead OWNS
-// the whole stack for a session — the lithography simulator (whose SOCS
+// run_ldmo_flow() runs over caller-owned components; FlowEngine instead
+// OWNS the whole stack for a session — the lithography simulator (whose SOCS
 // kernels and FFT plans come from the process-wide caches), the ILT engine,
 // the printability predictor, and, implicitly, the thread workspaces its
 // runs warm up. Constructing one FlowEngine and calling run()/run_many()

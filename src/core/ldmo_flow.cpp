@@ -13,17 +13,6 @@
 
 namespace ldmo::core {
 
-LdmoFlow::LdmoFlow(const litho::LithoSimulator& simulator,
-                   PrintabilityPredictor& predictor, LdmoConfig config)
-    : simulator_(simulator), predictor_(predictor), config_(config) {
-  require(config_.max_fallbacks >= 0, "LdmoFlow: negative fallback budget");
-}
-
-LdmoResult LdmoFlow::run(const layout::Layout& layout) const {
-  return run_ldmo_flow(opc::IltEngine(simulator_, config_.ilt), predictor_,
-                       config_, layout);
-}
-
 LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
                          PrintabilityPredictor& predictor,
                          const LdmoConfig& config,
@@ -68,7 +57,7 @@ LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
         .inc();
     run_span.attr("error", result.error.message);
     run_span.attr("error_stage", stage_name(result.error.stage));
-    log_warn("LdmoFlow: run failed in stage ",
+    log_warn("run_ldmo_flow: run failed in stage ",
              stage_name(result.error.stage), ": ", result.error.message);
     return result;
   };
@@ -79,6 +68,8 @@ LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
     return {observed_stage, e.what()};
   };
 
+  if (config.max_fallbacks < 0)
+    return failed_result({FlowStage::kIlt, "negative fallback budget"});
   if (token.cancelled()) return cancelled_result();
 
   // 1. Decomposition generation.
@@ -128,7 +119,7 @@ LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
         .inc();
     run_span.attr("degraded", 1.0);
     run_span.attr("degraded_reason", error.message);
-    log_warn("LdmoFlow: predict stage failed (", error.message,
+    log_warn("run_ldmo_flow: predict stage failed (", error.message,
              "), degrading to generation-order candidate ranking");
     scores.assign(generated.candidates.size(), 0.0);
     order.resize(generated.candidates.size());
@@ -157,24 +148,24 @@ LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
   // prediction that throws (model fault, warmstart.predict failpoint)
   // degrades that attempt to the paper's cold init.
   const bool want_warm = config.warm_start.enabled && warm_start != nullptr;
-  std::vector<opc::IltState> seeds;  // only p1/p2 are used
+  std::vector<std::vector<GridF>> seeds;  // one {p1, p2} pair per attempt
   std::vector<char> seeded(static_cast<std::size_t>(attempts), 0);
   if (want_warm) {
     static obs::Counter& predictions_counter =
         obs::counter("warmstart.predictions");
     static obs::Counter& predict_error_counter =
         obs::counter("warmstart.predict_errors");
-    seeds.resize(static_cast<std::size_t>(attempts));
+    seeds.assign(static_cast<std::size_t>(attempts), std::vector<GridF>(2));
     for (int attempt = 0; attempt < attempts; ++attempt) {
       const std::size_t rank = static_cast<std::size_t>(attempt);
       try {
         warm_start->seed(layout, generated.candidates[order[rank]],
-                         seeds[rank].p1, seeds[rank].p2);
+                         seeds[rank][0], seeds[rank][1]);
         predictions_counter.inc();
         seeded[rank] = 1;
       } catch (const std::exception& e) {
         predict_error_counter.inc();
-        log_warn("LdmoFlow: warm-start prediction failed for attempt ",
+        log_warn("run_ldmo_flow: warm-start prediction failed for attempt ",
                  attempt, " (", e.what(), "), using cold init");
       }
     }
@@ -210,7 +201,7 @@ LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
           opc::IltResult ilt =
               seeded[rank]
                   ? engine.optimize_seeded(
-                        layout, candidate, seeds[rank].p1, seeds[rank].p2,
+                        layout, candidate, seeds[rank],
                         config.warm_start.max_iterations,
                         /*abort_on_violation=*/!last_attempt,
                         /*record_trajectory=*/false, cancels[rank].token())
@@ -228,7 +219,7 @@ LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
           if (ilt.aborted_on_violation) {
             attempt_span.attr("fallback_reason",
                               std::string("print_violation"));
-            log_debug("LdmoFlow: candidate ", attempt,
+            log_debug("run_ldmo_flow: candidate ", attempt,
                       " aborted on print violation, falling back");
             return;
           }

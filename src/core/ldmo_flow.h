@@ -76,9 +76,11 @@ struct LdmoResult {
   bool warm_started = false;
 };
 
-/// The flow pipeline (Fig. 2) over caller-owned components. FlowEngine
-/// sessions and the LdmoFlow shim below both enter here; the engine
-/// already binds the simulator and the ILT hyperparameters.
+/// The flow pipeline (Fig. 2) over caller-owned components; the engine
+/// already binds the simulator and the ILT hyperparameters. One-shot
+/// callers pass `opc::IltEngine(simulator, config.ilt)`; core::FlowEngine
+/// owns the whole stack for sessions spanning several layouts (it keeps the
+/// buffer pools, kernels and FFT plans warm between runs).
 ///
 /// `token`: cooperative cancellation with deadline support. It is polled
 /// between phases and, via linked per-attempt sources, once per ILT
@@ -88,7 +90,8 @@ struct LdmoResult {
 ///
 /// Fault containment: a stage that throws is caught here and returned as
 /// `failed = true` with a stage-attributed FlowError (FlowException tags
-/// from deep components — litho, nn — win over the observing phase). A
+/// from deep components — litho, nn — win over the observing phase); a
+/// negative `config.max_fallbacks` fails the same way, in stage kIlt. A
 /// predict-stage failure degrades to heuristic ordering instead when
 /// `config.degrade_on_predict_failure` is set.
 ///
@@ -103,25 +106,5 @@ LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
                          const layout::Layout& layout,
                          runtime::CancellationToken token = {},
                          const MaskInitializer* warm_start = nullptr);
-
-/// End-to-end LDMO flow bound to a caller-owned simulator and predictor.
-/// Thin shim over run_ldmo_flow(); prefer core::FlowEngine for sessions
-/// spanning several layouts (it owns the component stack and keeps the
-/// buffer pools, kernels and FFT plans warm between runs).
-class LdmoFlow {
- public:
-  /// Keeps references; both must outlive the flow.
-  LdmoFlow(const litho::LithoSimulator& simulator,
-           PrintabilityPredictor& predictor, LdmoConfig config = {});
-
-  LdmoResult run(const layout::Layout& layout) const;
-
-  const LdmoConfig& config() const { return config_; }
-
- private:
-  const litho::LithoSimulator& simulator_;
-  PrintabilityPredictor& predictor_;
-  LdmoConfig config_;
-};
 
 }  // namespace ldmo::core

@@ -23,8 +23,6 @@ void add_clamp1_f64(const double* a, const double* b, double* out,
                     std::size_t n);
 void add_f64(const double* a, double* out, std::size_t n);
 void clamp_max_f64(double* a, std::size_t n, double hi);
-void gate_lt1_f64(const double* a, const double* b, double* out,
-                  std::size_t n);
 double loss_grad_f64(const double* t, const double* target,
                      const double* weights, double* dldt, std::size_t n);
 double max_abs_f64(const double* x, std::size_t n);

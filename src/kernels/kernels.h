@@ -83,9 +83,6 @@ struct KernelTable {
   void (*add_f64)(const double* a, double* out, std::size_t n);
   /// a[i] = min(a[i], hi). Exact.
   void (*clamp_max_f64)(double* a, std::size_t n, double hi);
-  /// out[i] = (a[i] + b[i] < 1) ? 1 : 0. Exact.
-  void (*gate_lt1_f64)(const double* a, const double* b, double* out,
-                       std::size_t n);
   /// dldt[i] = 2 w_i (t[i] - target[i]); returns sum_i w_i (t-target)^2
   /// with w_i = weights ? weights[i] : 1. Gradient exact; returned loss is
   /// a lane-parallel reduction: approximate class.

@@ -83,12 +83,6 @@ void clamp_max_f64(double* a, std::size_t n, double hi) {
   for (std::size_t i = 0; i < n; ++i) a[i] = std::min(a[i], hi);
 }
 
-void gate_lt1_f64(const double* a, const double* b, double* out,
-                  std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i)
-    out[i] = (a[i] + b[i] < 1.0) ? 1.0 : 0.0;
-}
-
 double loss_grad_f64(const double* t, const double* target,
                      const double* weights, double* dldt, std::size_t n) {
   double loss = 0.0;
@@ -214,7 +208,6 @@ const KernelTable& generic_table() {
       &generic::add_clamp1_f64,
       &generic::add_f64,
       &generic::clamp_max_f64,
-      &generic::gate_lt1_f64,
       &generic::loss_grad_f64,
       &generic::max_abs_f64,
       &generic::descend_f64,

@@ -281,20 +281,6 @@ void clamp_max_f64(double* a, std::size_t n, double hi) {
   for (; i < n; ++i) a[i] = std::min(a[i], hi);
 }
 
-void gate_lt1_f64(const double* a, const double* b, double* out,
-                  std::size_t n) {
-  const float64x2_t kOne = vdupq_n_f64(1.0);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t sum = vaddq_f64(vld1q_f64(a + i), vld1q_f64(b + i));
-    const uint64x2_t lt = vcltq_f64(sum, kOne);
-    vst1q_f64(out + i,
-              vreinterpretq_f64_u64(
-                  vandq_u64(lt, vreinterpretq_u64_f64(kOne))));
-  }
-  for (; i < n; ++i) out[i] = (a[i] + b[i] < 1.0) ? 1.0 : 0.0;
-}
-
 double loss_grad_f64(const double* t, const double* target,
                      const double* weights, double* dldt, std::size_t n) {
   const float64x2_t kTwo = vdupq_n_f64(2.0);
@@ -529,7 +515,6 @@ const KernelTable& neon_table() {
       &add_clamp1_f64,
       &add_f64,
       &clamp_max_f64,
-      &gate_lt1_f64,
       &loss_grad_f64,
       &max_abs_f64,
       &descend_f64,

@@ -275,15 +275,6 @@ void clamp_max_f64(double* a, std::size_t n, double hi) {
   });
 }
 
-void gate_lt1_f64(const double* a, const double* b, double* out,
-                  std::size_t n) {
-  const VecD one = splat(1.0);
-  for_each_vec<kDoubles>(n, [&](std::size_t i, std::size_t lanes) {
-    const VecD sum = load(a + i, lanes) + load(b + i, lanes);
-    store(out + i, lanes, select(sum < one, one, splat(0.0)));
-  });
-}
-
 double loss_grad_f64(const double* t, const double* target,
                      const double* weights, double* dldt, std::size_t n) {
   VecD acc = splat(0.0);
@@ -521,7 +512,6 @@ KernelTable x86_table(Backend backend, const char* name) {
           &add_clamp1_f64,
           &add_f64,
           &clamp_max_f64,
-          &gate_lt1_f64,
           &loss_grad_f64,
           &max_abs_f64,
           &descend_f64,

@@ -53,12 +53,6 @@ void combine_exposures_into(const GridF& t1, const GridF& t2, GridF& out) {
                                   out.size());
 }
 
-GridF combine_exposures_n(const std::vector<GridF>& responses) {
-  GridF t;
-  combine_exposures_n_into(responses, t);
-  return t;
-}
-
 void combine_exposures_n_into(const std::vector<GridF>& responses,
                               GridF& out) {
   require(!responses.empty(), "combine_exposures_n: no exposures");
@@ -72,20 +66,6 @@ void combine_exposures_n_into(const std::vector<GridF>& responses,
     kt.add_f64(responses[e].data(), out.data(), out.size());
   }
   kt.clamp_max_f64(out.data(), out.size(), 1.0);
-}
-
-GridF combine_gradient_mask(const GridF& t1, const GridF& t2) {
-  GridF mask;
-  combine_gradient_mask_into(t1, t2, mask);
-  return mask;
-}
-
-void combine_gradient_mask_into(const GridF& t1, const GridF& t2,
-                                GridF& out) {
-  require(t1.same_shape(t2), "combine_gradient_mask: shape mismatch");
-  out.resize(t1.height(), t1.width());
-  kernels::table().gate_lt1_f64(t1.data(), t2.data(), out.data(),
-                                out.size());
 }
 
 GridU8 binarize(const GridF& response, double threshold) {

@@ -4,10 +4,10 @@
 
 #include "common/error.h"
 #include "common/failpoint.h"
+#include "kernels/kernels.h"
 #include "layout/raster.h"
 #include "litho/resist.h"
 #include "obs/metrics.h"
-#include "runtime/parallel_for.h"
 #include "runtime/workspace.h"
 
 namespace ldmo::litho {
@@ -46,13 +46,6 @@ void LithoSimulator::expose_into(const GridF& mask, GridF& out) const {
 }
 
 GridF LithoSimulator::print(const GridF& mask1, const GridF& mask2) const {
-  GridF out;
-  print_into(mask1, mask2, out);
-  return out;
-}
-
-void LithoSimulator::print_into(const GridF& mask1, const GridF& mask2,
-                                GridF& out) const {
   static obs::Counter& print_counter = obs::counter("litho.prints");
   print_counter.inc();
   runtime::Workspace& ws = runtime::Workspace::this_thread();
@@ -62,29 +55,35 @@ void LithoSimulator::print_into(const GridF& mask1, const GridF& mask2,
       ws.grid_f_uninit(config_.grid_size, config_.grid_size);
   expose_into(mask1, *t1);  // fully overwrites
   expose_into(mask2, *t2);
+  GridF out;
   combine_exposures_into(*t1, *t2, out);
+  return out;
 }
 
 GridF LithoSimulator::print_masks(const std::vector<GridF>& masks) const {
-  std::vector<GridF> responses;
   GridF out;
-  print_masks_into(masks, responses, out);
+  print_masks_into(masks, out);
   return out;
 }
 
 void LithoSimulator::print_masks_into(const std::vector<GridF>& masks,
-                                      std::vector<GridF>& responses,
                                       GridF& out) const {
   require(!masks.empty(), "print_masks: no masks");
   static obs::Counter& print_counter = obs::counter("litho.prints");
   print_counter.inc();
-  // Exposures of different masks are independent simulations; indexed
-  // slots keep the combine order identical to the serial loop.
-  responses.resize(masks.size());
-  runtime::parallel_for(masks.size(), [&](std::size_t m) {
-    expose_into(masks[m], responses[m]);
-  });
-  combine_exposures_n_into(responses, out);
+  // Exposures accumulate in mask order through one pooled response: the
+  // sum-then-clamp of combine_exposures_n_into, bit-identical to print() at
+  // k = 2. Each exposure already parallelizes over its SOCS kernels.
+  const kernels::KernelTable& kt = kernels::table();
+  expose_into(masks[0], out);
+  runtime::PooledGrid<double> t =
+      runtime::Workspace::this_thread().grid_f_uninit(config_.grid_size,
+                                                      config_.grid_size);
+  for (std::size_t m = 1; m < masks.size(); ++m) {
+    expose_into(masks[m], *t);  // fully overwrites
+    kt.add_f64(t->data(), out.data(), out.size());
+  }
+  kt.clamp_max_f64(out.data(), out.size(), 1.0);
 }
 
 GridF LithoSimulator::print_decomposition(

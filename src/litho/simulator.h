@@ -59,18 +59,12 @@ class LithoSimulator {
   /// Combined DPL response from two mask grids (Eq. 2 + Eq. 3).
   GridF print(const GridF& mask1, const GridF& mask2) const;
 
-  /// Out-param variant of print (same reuse contract as expose_into).
-  void print_into(const GridF& mask1, const GridF& mask2, GridF& out) const;
-
   /// N-exposure generalization (triple patterning and beyond).
   GridF print_masks(const std::vector<GridF>& masks) const;
 
-  /// Out-param variant over caller scratch: `responses` is resized to
-  /// masks.size() and holds the per-exposure resist responses after
-  /// return; `out` gets the combined print. Reusing both across calls
-  /// makes the k-mask print allocation-free at steady state.
-  void print_masks_into(const std::vector<GridF>& masks,
-                        std::vector<GridF>& responses, GridF& out) const;
+  /// Out-param variant of print_masks (same reuse contract as
+  /// expose_into): allocation-free at steady state.
+  void print_masks_into(const std::vector<GridF>& masks, GridF& out) const;
 
   /// Prints a decomposition using the raw (un-OPCed) pattern rasters —
   /// what the layout looks like before any mask optimization.

@@ -1,4 +1,4 @@
-// Span-based tracing: RAII, nestable, thread-aware. A full LdmoFlow::run
+// Span-based tracing: RAII, nestable, thread-aware. A full run_ldmo_flow()
 // produces a tree (generate -> predict -> per-candidate ILT attempt ->
 // per-violation-check); finished root spans accumulate in the global
 // Tracer until snapshot()/clear().

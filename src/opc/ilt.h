@@ -1,10 +1,13 @@
 // Gradient-descent inverse lithography (ILT) mask optimization for double
-// patterning (Section II of the paper).
+// and multiple patterning (Section II of the paper).
 //
 // Masks are parameterized by unbounded fields P via M = sigmoid(theta_m * P)
 // (Eq. 1, theta_m = 8); the loss ||T - T'||^2 is differentiated through the
-// resist sigmoid (Eq. 2), the DPL combination (Eq. 3) and the Hopkins/SOCS
-// optics, and P descends the (per-iteration max-normalized) gradient.
+// resist sigmoid (Eq. 2), the min-combined exposures (Eq. 3) and the
+// Hopkins/SOCS optics, and P descends the (per-iteration max-normalized)
+// gradient. None of Eq. 1-3 depends on the mask count, so one engine serves
+// the paper's double patterning (k = 2, the default) and LELE...LE multiple
+// patterning (k >= 3): the wafer image is min(sum_m T_m, 1) either way.
 //
 // The engine exposes a resumable IltState so callers can run partial
 // optimizations: the paper's flow checks print violations every 3 iterations
@@ -53,10 +56,10 @@ struct IltConfig {
   double edge_weight = 0.0;
 };
 
-/// Resumable optimization state: the two parameter fields plus bookkeeping.
+/// Resumable optimization state: one parameter field per mask plus
+/// bookkeeping.
 struct IltState {
-  GridF p1;
-  GridF p2;
+  std::vector<GridF> p;
   int iteration = 0;
   double current_step = 0.0;
   double current_theta_m = 0.0;
@@ -66,20 +69,21 @@ struct IltState {
 };
 
 /// Reusable scratch for step(): every intermediate grid of one gradient
-/// iteration (masks, aerial fields, resist responses, adjoint buffers).
-/// optimize() owns one per run and threads it through all ~50 iterations,
-/// so after the first iteration warms the shapes, the loop performs zero
-/// heap allocations in the pooled paths. All members are plain outputs —
-/// fully overwritten each step — so a default-constructed IltScratch is
-/// always valid input.
+/// iteration (per-mask masks, aerial fields, resist responses and
+/// gradients, plus the shared loss/adjoint buffers). optimize() owns one per
+/// run and threads it through all ~50 iterations, so after the first
+/// iteration warms the shapes, the loop performs zero heap allocations in
+/// the pooled paths. All members are plain outputs — fully overwritten each
+/// step — so a default-constructed IltScratch is always valid input.
 struct IltScratch {
-  GridF m1, m2;                    ///< Eq. 1 continuous masks
-  litho::AerialFields f1, f2;      ///< per-kernel fields for the adjoint
-  GridF t1, t2, t;                 ///< resist responses + combined print
-  GridF dldt, gate, dt1, dt2;      ///< loss/resist derivative chain
-  GridF dldi1, dldi2;              ///< dL/dI per exposure
-  GridF g1, g2;                    ///< parameter gradients
-  GridF response;                  ///< violation-check / trajectory print
+  std::vector<GridF> masks;                 ///< Eq. 1 continuous masks
+  std::vector<litho::AerialFields> fields;  ///< per-kernel fields (adjoint)
+  std::vector<GridF> exposures;             ///< per-mask resist responses
+  std::vector<GridF> grads;                 ///< parameter gradients
+  GridF t;                                  ///< combined print (Eq. 3)
+  GridF dldt;         ///< dL/dT, then dL/dT_m through the min() gate
+  GridF dt, dldi;     ///< one mask's resist derivative and dL/dI
+  GridF response;     ///< violation-check / trajectory print
 };
 
 /// Per-iteration metrology snapshot (drives Fig. 1(b) trajectories).
@@ -94,6 +98,7 @@ struct IltIterationStats {
 struct IltResult {
   GridF mask1;  ///< binarized final mask (0/1)
   GridF mask2;
+  std::vector<GridF> extra_masks;  ///< masks 3..k (empty at k = 2)
   GridF response;  ///< combined resist response of the binarized masks
   litho::PrintabilityReport report;  ///< metrology of `response`
   std::vector<IltIterationStats> trajectory;
@@ -105,16 +110,20 @@ struct IltResult {
   bool cancelled = false;
 };
 
-/// Double-patterning ILT engine bound to one lithography simulator.
+/// k-mask ILT engine bound to one lithography simulator.
 class IltEngine {
  public:
-  /// Keeps references; both must outlive the engine.
-  IltEngine(const litho::LithoSimulator& simulator, IltConfig config = {});
+  /// Keeps a reference to `simulator`, which must outlive the engine.
+  /// `mask_count` is k >= 2 (2 = the paper's double patterning).
+  IltEngine(const litho::LithoSimulator& simulator, IltConfig config = {},
+            int mask_count = 2);
 
   const IltConfig& config() const { return config_; }
+  int mask_count() const { return mask_count_; }
 
-  /// Initializes P fields from a decomposition: +initial_p inside a mask's
-  /// patterns, -initial_p elsewhere.
+  /// Initializes P fields from a decomposition (mask ids in
+  /// [0, mask_count)): +initial_p inside a mask's patterns, -initial_p
+  /// elsewhere.
   IltState init_state(const layout::Layout& layout,
                       const layout::Assignment& assignment) const;
 
@@ -126,9 +135,6 @@ class IltEngine {
   /// live in `scratch` so repeated calls with the same shapes allocate
   /// nothing. The convenience overload above is a thin wrapper over this.
   void step(IltState& state, const GridF& target, IltScratch& scratch) const;
-
-  /// Current continuous-mask response without updating (for evaluation).
-  GridF response_of(const IltState& state) const;
 
   /// Metrology of the current state using binarized masks.
   litho::PrintabilityReport evaluate(const IltState& state,
@@ -158,15 +164,16 @@ class IltEngine {
                      runtime::CancellationToken token = {}) const;
 
   /// Warm-started optimization: identical loop, but the P fields start from
-  /// caller-provided seeds (e.g. the `warmstart` MaskNet prediction) instead
-  /// of the +/- initial_p raster, and the iteration budget can be cut below
-  /// config().max_iterations. Seeds must match the simulator grid. The
-  /// annealing/step schedules and violation-check cadence are unchanged, so
-  /// a seeded run with max_iterations == config().max_iterations and
-  /// +/-initial_p seeds is bit-identical to optimize().
+  /// caller-provided seeds, one per mask (e.g. the `warmstart` MaskNet
+  /// prediction), instead of the +/- initial_p raster, and the iteration
+  /// budget can be cut below config().max_iterations. Seeds must match the
+  /// simulator grid. The annealing/step schedules and violation-check
+  /// cadence are unchanged, so a seeded run with max_iterations ==
+  /// config().max_iterations and +/-initial_p seeds is bit-identical to
+  /// optimize().
   IltResult optimize_seeded(const layout::Layout& layout,
                             const layout::Assignment& assignment,
-                            const GridF& seed_p1, const GridF& seed_p2,
+                            const std::vector<GridF>& seeds,
                             int max_iterations,
                             bool abort_on_violation = false,
                             bool record_trajectory = false,
@@ -176,20 +183,21 @@ class IltEngine {
   GridF binarize_parameters(const GridF& p, double threshold = 0.0) const;
 
  private:
-  /// Shared loop behind optimize()/optimize_seeded(). `seed_p1/p2` null for
-  /// the paper-faithful cold init.
+  /// Shared loop behind optimize()/optimize_seeded(). `seeds` null for the
+  /// paper-faithful cold init.
   IltResult optimize_impl(const layout::Layout& layout,
                           const layout::Assignment& assignment,
-                          const GridF* seed_p1, const GridF* seed_p2,
-                          int max_iterations, bool abort_on_violation,
-                          bool record_trajectory,
+                          const std::vector<GridF>* seeds, int max_iterations,
+                          bool abort_on_violation, bool record_trajectory,
                           runtime::CancellationToken token) const;
-  GridF mask_of(const GridF& p, double theta_m) const;  ///< Eq. 1 sigmoid
   /// Out-param Eq. 1 sigmoid: reshapes and fully overwrites `out`.
   void mask_of_into(const GridF& p, double theta_m, GridF& out) const;
+  /// Continuous masks of a state, one per mask, into `out`.
+  void masks_of_into(const IltState& state, std::vector<GridF>& out) const;
 
   const litho::LithoSimulator& simulator_;
   IltConfig config_;
+  int mask_count_;
 };
 
 }  // namespace ldmo::opc

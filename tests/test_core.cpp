@@ -102,8 +102,8 @@ TEST(LdmoFlowTest, ProducesMasksAndTiming) {
   CountingPredictor predictor;
   LdmoConfig config;
   config.ilt = fast_ilt();
-  LdmoFlow flow(shared_simulator(), predictor, config);
-  const LdmoResult result = flow.run(l);
+  const LdmoResult result = run_ldmo_flow(
+      opc::IltEngine(shared_simulator(), config.ilt), predictor, config, l);
 
   EXPECT_GT(result.candidates_generated, 1);
   EXPECT_EQ(predictor.calls, result.candidates_generated);
@@ -124,8 +124,8 @@ TEST(LdmoFlowTest, FallbackBoundedByConfig) {
   LdmoConfig config;
   config.ilt = fast_ilt();
   config.max_fallbacks = 0;  // exactly one ILT attempt allowed
-  LdmoFlow flow(shared_simulator(), predictor, config);
-  const LdmoResult result = flow.run(l);
+  const LdmoResult result = run_ldmo_flow(
+      opc::IltEngine(shared_simulator(), config.ilt), predictor, config, l);
   EXPECT_EQ(result.candidates_tried, 1);
   EXPECT_FALSE(result.ilt.aborted_on_violation);  // final attempt completes
 }
@@ -145,10 +145,10 @@ TEST(LdmoFlowTest, PredictorFailureDegradesByDefault) {
   BrokenPredictor predictor;
   LdmoConfig config;
   config.ilt = fast_ilt();
-  LdmoFlow flow(shared_simulator(), predictor, config);
   // No exception escapes: the run degrades to generation-order ranking and
   // still produces finalized masks.
-  const LdmoResult result = flow.run(l);
+  const LdmoResult result = run_ldmo_flow(
+      opc::IltEngine(shared_simulator(), config.ilt), predictor, config, l);
   EXPECT_FALSE(result.failed);
   EXPECT_TRUE(result.degraded);
   EXPECT_GT(result.candidates_tried, 0);
@@ -161,8 +161,8 @@ TEST(LdmoFlowTest, PredictorFailureFailsWhenDegradeDisabled) {
   LdmoConfig config;
   config.ilt = fast_ilt();
   config.degrade_on_predict_failure = false;
-  LdmoFlow flow(shared_simulator(), predictor, config);
-  const LdmoResult result = flow.run(l);
+  const LdmoResult result = run_ldmo_flow(
+      opc::IltEngine(shared_simulator(), config.ilt), predictor, config, l);
   EXPECT_TRUE(result.failed);
   EXPECT_FALSE(result.degraded);
   EXPECT_EQ(result.error.stage, FlowStage::kPredict);
@@ -200,17 +200,18 @@ TEST(LdmoFlowTest, OraclePredictorBeatsAdversarialOracle) {
   LdmoConfig config;
   config.ilt = fast_ilt();
   config.max_fallbacks = 0;
-  const LdmoResult good_result =
-      LdmoFlow(shared_simulator(), good, config).run(l);
-  const LdmoResult bad_result =
-      LdmoFlow(shared_simulator(), bad, config).run(l);
+  const LdmoResult good_result = run_ldmo_flow(
+      opc::IltEngine(shared_simulator(), config.ilt), good, config, l);
+  const LdmoResult bad_result = run_ldmo_flow(
+      opc::IltEngine(shared_simulator(), config.ilt), bad, config, l);
   EXPECT_LE(good_result.ilt.report.score(), bad_result.ilt.report.score());
 }
 
-TEST(FlowEngineTest, RunMatchesTheLdmoFlowShimBitwise) {
+TEST(FlowEngineTest, RunMatchesCallerOwnedComponentsBitwise) {
   // FlowEngine owns its own simulator/predictor stack, but the kernels
   // come from the process cache and the pipeline is the same free
-  // function, so a session run must reproduce the shim bit-for-bit.
+  // function, so a session run must reproduce a run_ldmo_flow() call over
+  // caller-owned components bit-for-bit.
   const layout::Layout l = test_layout();
   FlowEngineConfig config;
   config.litho = fast_litho();
@@ -219,17 +220,36 @@ TEST(FlowEngineTest, RunMatchesTheLdmoFlowShimBitwise) {
   const LdmoResult session_result = engine.run(l);
 
   RawPrintPredictor raw(shared_simulator());
-  LdmoFlow shim(shared_simulator(), raw, config.flow);
-  const LdmoResult shim_result = shim.run(l);
+  const LdmoResult direct_result =
+      run_ldmo_flow(opc::IltEngine(shared_simulator(), config.flow.ilt), raw,
+                    config.flow, l);
 
-  EXPECT_EQ(session_result.chosen, shim_result.chosen);
-  ASSERT_TRUE(session_result.ilt.mask1.same_shape(shim_result.ilt.mask1));
+  EXPECT_EQ(session_result.chosen, direct_result.chosen);
+  ASSERT_TRUE(session_result.ilt.mask1.same_shape(direct_result.ilt.mask1));
   for (std::size_t i = 0; i < session_result.ilt.mask1.size(); ++i) {
-    EXPECT_EQ(session_result.ilt.mask1[i], shim_result.ilt.mask1[i]);
-    EXPECT_EQ(session_result.ilt.mask2[i], shim_result.ilt.mask2[i]);
+    EXPECT_EQ(session_result.ilt.mask1[i], direct_result.ilt.mask1[i]);
+    EXPECT_EQ(session_result.ilt.mask2[i], direct_result.ilt.mask2[i]);
   }
   EXPECT_EQ(session_result.ilt.report.score(),
-            shim_result.ilt.report.score());
+            direct_result.ilt.report.score());
+}
+
+TEST(FlowEngineTest, NegativeFallbackBudgetFailsAsAValue) {
+  // A negative budget is a bad request, not a broken invariant: the run
+  // fails in the ILT stage and the session keeps going.
+  FlowEngineConfig config;
+  config.litho = fast_litho();
+  config.flow.ilt = fast_ilt();
+  config.flow.max_fallbacks = -1;
+  FlowEngine engine(config);
+  const LdmoResult result = engine.run(test_layout());
+  EXPECT_TRUE(result.failed);
+  EXPECT_FALSE(result.cancelled);
+  EXPECT_EQ(result.error.stage, FlowStage::kIlt);
+  EXPECT_NE(result.error.message.find("fallback"), std::string::npos);
+  EXPECT_EQ(result.candidates_tried, 0);
+  EXPECT_EQ(engine.session().failed_runs, 1);
+  EXPECT_EQ(engine.session().runs, 0);
 }
 
 TEST(FlowEngineTest, RunManyAccumulatesSessionStats) {
@@ -338,8 +358,9 @@ TEST(UnifiedGreedyFlowTest, SlowerThanOurFlowPerLayout) {
   LdmoConfig ours_config;
   ours_config.ilt = fast_ilt();
   ours_config.max_fallbacks = 0;
-  const LdmoResult ours =
-      LdmoFlow(shared_simulator(), predictor, ours_config).run(l);
+  const LdmoResult ours = run_ldmo_flow(
+      opc::IltEngine(shared_simulator(), ours_config.ilt), predictor,
+      ours_config, l);
 
   UnifiedGreedyConfig unified_config;
   unified_config.ilt = fast_ilt();

@@ -79,8 +79,9 @@ TEST(Integration, FullCnnPipelineRunsEndToEnd) {
   core::CnnPredictor predictor(std::move(network));
   core::LdmoConfig flow_cfg;
   flow_cfg.ilt = quick_ilt();
-  core::LdmoFlow flow(simulator(), predictor, flow_cfg);
-  const core::LdmoResult result = flow.run(gen.generate(800));
+  const core::LdmoResult result =
+      core::run_ldmo_flow(opc::IltEngine(simulator(), flow_cfg.ilt),
+                          predictor, flow_cfg, gen.generate(800));
   EXPECT_GT(result.candidates_generated, 0);
   EXPECT_FALSE(result.ilt.mask1.empty());
   // The flow must produce a full metrology report.
@@ -115,8 +116,8 @@ TEST(Integration, AllFlowsAgreeOnLayoutGeometry) {
   core::RawPrintPredictor predictor(simulator());
   core::LdmoConfig lcfg;
   lcfg.ilt = quick_ilt();
-  core::LdmoFlow ours(simulator(), predictor, lcfg);
-  const auto r3 = ours.run(l);
+  const auto r3 = core::run_ldmo_flow(opc::IltEngine(simulator(), lcfg.ilt),
+                                      predictor, lcfg, l);
   EXPECT_EQ(r3.ilt.response.height(), n);
   EXPECT_EQ(static_cast<int>(r3.chosen.size()), l.pattern_count());
 }
@@ -129,8 +130,8 @@ TEST(Integration, MasksUnionCoversEveryPattern) {
   core::RawPrintPredictor predictor(simulator());
   core::LdmoConfig cfg;
   cfg.ilt = quick_ilt();
-  core::LdmoFlow flow(simulator(), predictor, cfg);
-  const core::LdmoResult result = flow.run(l);
+  const core::LdmoResult result = core::run_ldmo_flow(
+      opc::IltEngine(simulator(), cfg.ilt), predictor, cfg, l);
 
   const layout::RasterTransform t = simulator().transform_for(l);
   for (const layout::Pattern& p : l.patterns) {

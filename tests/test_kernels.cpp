@@ -208,10 +208,6 @@ TEST(KernelExactOpsTest, ElementwiseF64BitIdentical) {
     t->clamp_max_f64(out.data(), n, 1.0);
     EXPECT_TRUE(bits_equal(ref.data(), out.data(), n));
 
-    g.gate_lt1_f64(a.data(), b.data(), ref.data(), n);
-    t->gate_lt1_f64(a.data(), b.data(), out.data(), n);
-    EXPECT_TRUE(bits_equal(ref.data(), out.data(), n));
-
     EXPECT_EQ(g.max_abs_f64(a.data(), n), t->max_abs_f64(a.data(), n));
 
     ref = a; out = a;
@@ -583,11 +579,6 @@ std::vector<OpDigest> op_digests(const KernelTable& t, std::size_t lanes) {
     t.clamp_max_f64(o.data(), n, 0.5);
     h.add(o.data(), n);
   });
-  pin("gate_lt1_f64", [&](std::size_t n, Fnv1a& h) {
-    std::vector<double> o(n);
-    t.gate_lt1_f64(a.data(), b.data(), o.data(), n);
-    h.add(o.data(), n);
-  });
   pin("loss_grad_f64", [&](std::size_t n, Fnv1a& h) {
     std::vector<double> o(n);
     h.add(t.loss_grad_f64(a.data(), b.data(), w.data(), o.data(), n));
@@ -686,7 +677,6 @@ TEST_P(KernelDigestTest, EveryOpMatchesPinnedBits) {
       {"add_clamp1_f64", 0xc9e1fe2eaf2af756ULL},
       {"add_f64", 0x63a2cd6befd31b23ULL},
       {"clamp_max_f64", 0xa9bb88ba1d1ab26dULL},
-      {"gate_lt1_f64", 0xd2d9da64c55d4d8ULL},
       {"loss_grad_f64", 0x3b9c6b5ae1490261ULL},
       {"max_abs_f64", 0xb80e69c6a876682aULL},
       {"descend_f64", 0xd86f920060b41a6cULL},
@@ -712,7 +702,6 @@ TEST_P(KernelDigestTest, EveryOpMatchesPinnedBits) {
       {"add_clamp1_f64", 0xc40b280057625e49ULL},
       {"add_f64", 0x4f11827e88509cf0ULL},
       {"clamp_max_f64", 0xc105441104e2cff2ULL},
-      {"gate_lt1_f64", 0xd4d0a6fcc5285f78ULL},
       {"loss_grad_f64", 0x74aac83153600409ULL},
       {"max_abs_f64", 0x719ef5056a9f1ceaULL},
       {"descend_f64", 0xf8f152b49cbc0b34ULL},
@@ -732,7 +721,7 @@ TEST_P(KernelDigestTest, EveryOpMatchesPinnedBits) {
   const std::vector<OpDigest>& expected = avx2 ? kAvx2 : kAvx512;
   const std::vector<OpDigest> got =
       op_digests(*detail::table_for(backend), avx2 ? 8 : 16);
-  ASSERT_EQ(got.size(), 24u);
+  ASSERT_EQ(got.size(), 23u);
   ASSERT_EQ(expected.size(), got.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_STREQ(expected[i].op, got[i].op);

@@ -492,19 +492,16 @@ TEST(Simulator, ExposeAndPrintOutParamsMatchValueOverloads) {
   for (std::size_t i = 0; i < exposed.size(); ++i)
     EXPECT_EQ(exposed_into[i], exposed[i]);
 
+  // At two masks the k-mask print is bit-identical to print().
   const GridF printed = sim.print(m1, m2);
-  GridF printed_into;
-  sim.print_into(m1, m2, printed_into);
-  for (std::size_t i = 0; i < printed.size(); ++i)
-    EXPECT_EQ(printed_into[i], printed[i]);
-
-  std::vector<GridF> responses;
   GridF multi;
-  sim.print_masks_into({m1, m2}, responses, multi);
+  sim.print_masks_into({m1, m2}, multi);
+  sim.print_masks_into({m1, m2}, multi);  // warm second pass
   const GridF multi_value = sim.print_masks({m1, m2});
-  ASSERT_EQ(responses.size(), 2u);
-  for (std::size_t i = 0; i < multi.size(); ++i)
+  for (std::size_t i = 0; i < multi.size(); ++i) {
     EXPECT_EQ(multi[i], multi_value[i]);
+    EXPECT_EQ(multi[i], printed[i]);
+  }
 }
 
 // ---------------------------------------------------------------- resist --
@@ -549,9 +546,6 @@ TEST(Resist, CombineExposuresSaturatesAtOne) {
   const GridF t = combine_exposures(a, b);
   EXPECT_DOUBLE_EQ(t.at(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(t.at(0, 1), 0.5);
-  const GridF mask = combine_gradient_mask(a, b);
-  EXPECT_DOUBLE_EQ(mask.at(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(mask.at(0, 1), 1.0);
 }
 
 TEST(Resist, BinarizeThreshold) {

@@ -2,7 +2,17 @@
 // printable decompositions, violation-triggered aborts and trajectories.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/error.h"
+#include "common/hash.h"
+#include "common/rng.h"
+#include "kernels/kernels.h"
 #include "layout/raster.h"
 #include "litho/resist.h"
 #include "opc/ilt.h"
@@ -58,16 +68,18 @@ TEST(IltInit, ParameterSignsFollowAssignment) {
   // Center pixel of pattern 0 (mask 1): p1 positive, p2 negative.
   const int cx0 = static_cast<int>(t.to_px_x(430 + 32));
   const int cy0 = static_cast<int>(t.to_px_y(480 + 32));
-  EXPECT_GT(state.p1.at(cy0, cx0), 0.0);
-  EXPECT_LT(state.p2.at(cy0, cx0), 0.0);
+  EXPECT_GT(state.p[0].at(cy0, cx0), 0.0);
+  EXPECT_LT(state.p[1].at(cy0, cx0), 0.0);
   // Background: both negative.
-  EXPECT_LT(state.p1.at(2, 2), 0.0);
-  EXPECT_LT(state.p2.at(2, 2), 0.0);
+  EXPECT_LT(state.p[0].at(2, 2), 0.0);
+  EXPECT_LT(state.p[1].at(2, 2), 0.0);
 }
 
 TEST(IltInit, AssignmentSizeMismatchThrows) {
   IltEngine engine(shared_simulator());
   EXPECT_THROW(engine.init_state(isolated_contact(), {0, 1}), ldmo::Error);
+  // Mask ids must name one of the k = 2 masks.
+  EXPECT_THROW(engine.init_state(contact_pair(120), {0, 2}), ldmo::Error);
 }
 
 TEST(IltStep, LossDecreasesOverOptimization) {
@@ -99,9 +111,9 @@ TEST(IltStep, ScratchOverloadIsBitIdenticalToWrapper) {
     ASSERT_EQ(pooled.last_loss, plain.last_loss) << "iteration " << i;
     EXPECT_EQ(pooled.current_step, plain.current_step);
     EXPECT_EQ(pooled.current_theta_m, plain.current_theta_m);
-    for (std::size_t j = 0; j < plain.p1.size(); ++j) {
-      ASSERT_EQ(pooled.p1[j], plain.p1[j]) << "iteration " << i;
-      ASSERT_EQ(pooled.p2[j], plain.p2[j]) << "iteration " << i;
+    for (std::size_t j = 0; j < plain.p[0].size(); ++j) {
+      ASSERT_EQ(pooled.p[0][j], plain.p[0][j]) << "iteration " << i;
+      ASSERT_EQ(pooled.p[1][j], plain.p[1][j]) << "iteration " << i;
     }
   }
 }
@@ -174,6 +186,16 @@ TEST(IltOptimize, TrajectoryRecordsEveryIteration) {
             result.trajectory.front().epe_violations);
 }
 
+/// FNV-1a over the exact IEEE-754 bits of mask1 || mask2 || response.
+std::uint64_t result_digest(const IltResult& r) {
+  common::Fnv1a h;
+  for (const GridF* g : {&r.mask1, &r.mask2, &r.response})
+    for (std::size_t i = 0; i < g->size(); ++i) h.f64((*g)[i]);
+  return h.digest();
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
 TEST(IltOptimize, DeterministicAcrossRuns) {
   IltEngine engine(shared_simulator());
   const layout::Layout l = contact_pair(100);
@@ -182,6 +204,107 @@ TEST(IltOptimize, DeterministicAcrossRuns) {
   EXPECT_EQ(a.report.epe.violation_count, b.report.epe.violation_count);
   EXPECT_DOUBLE_EQ(a.report.l2, b.report.l2);
   EXPECT_EQ(a.mask1, b.mask1);
+
+  // Two-mask bit pins (the k = 2 arithmetic must not drift): a cold
+  // optimize() and a seeded run whose seeds are the init_state fields plus
+  // a fixed ramp. The SIMD sigmoid and loss
+  // reduction are approximate-class ops, so each x86 backend has its own
+  // pin; a backend without one (NEON) only checks run-to-run equality.
+  struct Pin {
+    kernels::Backend backend;
+    std::uint64_t cold, cold_l2, seeded, seeded_l2;
+  };
+  const Pin pins[] = {
+      {kernels::Backend::kGeneric, 0xb988ee5e1194a72cull,
+       0x40281f27e908f283ull, 0xf045580656367a26ull, 0x4028b6d87ca908d9ull},
+      {kernels::Backend::kAvx2, 0x78ad042b60011645ull, 0x40281f27e908f27eull,
+       0xdf8bef249c036314ull, 0x4028b6d87ca908ccull},
+      {kernels::Backend::kAvx512, 0x78ad042b60011645ull,
+       0x40281f27e908f278ull, 0xdf8bef249c036314ull, 0x4028b6d87ca908ceull},
+  };
+  struct RestoreBackend {
+    kernels::Backend saved = kernels::active();
+    ~RestoreBackend() { kernels::select(saved); }
+  } restore;
+  const layout::Assignment assignment = {0, 1};
+  for (const Pin& pin : pins) {
+    if (!kernels::supported(pin.backend)) continue;
+    SCOPED_TRACE(kernels::to_string(pin.backend));
+    kernels::select(pin.backend);
+    const IltResult cold = engine.optimize(l, assignment);
+    const IltState init = engine.init_state(l, assignment);
+    std::vector<GridF> seeds = init.p;
+    for (std::size_t i = 0; i < seeds[0].size(); ++i) {
+      const double ramp = 0.002 * static_cast<double>(i % 97) - 0.09;
+      seeds[0][i] += ramp;
+      seeds[1][i] -= ramp;
+    }
+    const IltResult seeded = engine.optimize_seeded(l, assignment, seeds, 20);
+    EXPECT_EQ(result_digest(cold), pin.cold);
+    EXPECT_EQ(bits_of(cold.report.l2), pin.cold_l2);
+    EXPECT_EQ(result_digest(seeded), pin.seeded);
+    EXPECT_EQ(bits_of(seeded.report.l2), pin.seeded_l2);
+  }
+}
+
+layout::Layout contact_triangle() {
+  layout::Layout l;
+  l.clip = geometry::Rect::from_size({0, 0}, 1024, 1024);
+  l.add_pattern(geometry::Rect::from_size({410, 400}, 65, 65));
+  l.add_pattern(geometry::Rect::from_size({545, 400}, 65, 65));
+  l.add_pattern(geometry::Rect::from_size({478, 518}, 65, 65));
+  return l;
+}
+
+TEST(IltGradient, FullLossMatchesFiniteDifference) {
+  // Oracle for the whole chain — Eq. 1 mask sigmoid, SOCS optics, resist
+  // sigmoid, min() combination, (edge-weighted) L2. One step moves P by
+  // -(step / g_max) * dL/dP, so on every probed pixel the move divided by
+  // the central difference of last_loss must be the same ratio.
+  const layout::Layout l = contact_triangle();
+  const GridF target =
+      layout::rasterize_target(l, shared_simulator().grid_size());
+  for (int k : {2, 3}) {
+    for (double edge_weight : {0.0, 2.0}) {
+      SCOPED_TRACE("k = " + std::to_string(k) +
+                   ", edge_weight = " + std::to_string(edge_weight));
+      IltConfig cfg;
+      cfg.edge_weight = edge_weight;
+      const IltEngine engine(shared_simulator(), cfg, k);
+      IltState state = engine.init_state(l, {0, 1, k - 1});
+      for (int i = 0; i < 3; ++i) engine.step(state, target);
+
+      IltState moved = state;
+      engine.step(moved, target);
+      // Probe pixels whose gradient is at least 5% of the largest one:
+      // far-field pixels carry gradients too small to difference.
+      std::vector<std::pair<std::size_t, std::size_t>> candidates;
+      for (std::size_t m = 0; m < state.p.size(); ++m)
+        for (std::size_t i = 0; i < state.p[m].size(); ++i)
+          if (std::abs(state.p[m][i] - moved.p[m][i]) >
+              0.05 * state.current_step)
+            candidates.emplace_back(m, i);
+      ASSERT_GE(candidates.size(), 16u);
+      Rng rng(0xF0D1FF + static_cast<std::uint64_t>(k));
+      rng.shuffle(candidates);
+      candidates.resize(16);
+
+      const double h = 1e-5;
+      std::vector<double> ratios;
+      for (const auto& [m, i] : candidates) {
+        IltState plus = state, minus = state;
+        plus.p[m][i] += h;
+        minus.p[m][i] -= h;
+        engine.step(plus, target);
+        engine.step(minus, target);
+        const double fd = (plus.last_loss - minus.last_loss) / (2.0 * h);
+        ratios.push_back((state.p[m][i] - moved.p[m][i]) / fd);
+      }
+      const double reference = ratios.front();
+      EXPECT_GT(reference, 0.0);
+      for (double r : ratios) EXPECT_NEAR(r / reference, 1.0, 1e-4);
+    }
+  }
 }
 
 TEST(IltFinalize, MatchesOptimizeTail) {

@@ -350,7 +350,7 @@ TEST(DeterminismTest, FullFlowBitIdenticalAcrossThreadCounts) {
 
   core::LdmoConfig config;
   config.ilt.max_iterations = 6;
-  core::LdmoFlow flow(simulator, predictor, config);
+  const opc::IltEngine engine(simulator, config.ilt);
   layout::LayoutGenerator gen;
   const layout::Layout layout = gen.generate(31);
 
@@ -369,12 +369,12 @@ TEST(DeterminismTest, FullFlowBitIdenticalAcrossThreadCounts) {
     core::LdmoResult serial;
     {
       ScopedThreads threads(1);
-      serial = flow.run(layout);
+      serial = core::run_ldmo_flow(engine, predictor, config, layout);
     }
     core::LdmoResult parallel;
     {
       ScopedThreads threads(4);
-      parallel = flow.run(layout);
+      parallel = core::run_ldmo_flow(engine, predictor, config, layout);
     }
 
     // The speculative parallel ILT must pick the same winner the serial
@@ -387,6 +387,58 @@ TEST(DeterminismTest, FullFlowBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.ilt.mask1, parallel.ilt.mask1);
     EXPECT_EQ(serial.ilt.mask2, parallel.ilt.mask2);
     EXPECT_EQ(serial.ilt.response, parallel.ilt.response);
+  }
+}
+
+TEST(DeterminismTest, ThreeMaskIltBitIdenticalAcrossThreadCounts) {
+  litho::LithoConfig lcfg;
+  lcfg.grid_size = 64;
+  lcfg.pixel_nm = 16.0;
+  lcfg.kernel_count = 4;
+  const litho::LithoSimulator simulator(lcfg);
+  opc::IltConfig cfg;
+  cfg.max_iterations = 6;
+  const opc::IltEngine engine(simulator, cfg, 3);
+  layout::LayoutGenerator gen;
+  const layout::Layout layout = gen.generate(31);
+  layout::Assignment assignment(
+      static_cast<std::size_t>(layout.pattern_count()));
+  for (std::size_t i = 0; i < assignment.size(); ++i)
+    assignment[i] = static_cast<int>(i % 3);
+
+  const auto same_bits = [](const GridF& a, const GridF& b) {
+    return a.same_shape(b) &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+  };
+  struct RestoreBackend {
+    kernels::Backend saved = kernels::active();
+    ~RestoreBackend() { kernels::select(saved); }
+  } restore;
+  for (kernels::Backend backend :
+       {kernels::Backend::kGeneric, kernels::Backend::kAvx2,
+        kernels::Backend::kAvx512, kernels::Backend::kNeon}) {
+    if (!kernels::supported(backend)) continue;
+    SCOPED_TRACE(kernels::to_string(backend));
+    kernels::select(backend);
+    opc::IltResult serial;
+    {
+      ScopedThreads threads(1);
+      serial = engine.optimize(layout, assignment);
+    }
+    opc::IltResult parallel;
+    {
+      ScopedThreads threads(4);
+      parallel = engine.optimize(layout, assignment);
+    }
+    ASSERT_EQ(serial.extra_masks.size(), 1u);
+    ASSERT_EQ(parallel.extra_masks.size(), 1u);
+    EXPECT_TRUE(same_bits(serial.mask1, parallel.mask1));
+    EXPECT_TRUE(same_bits(serial.mask2, parallel.mask2));
+    EXPECT_TRUE(same_bits(serial.extra_masks[0], parallel.extra_masks[0]));
+    EXPECT_TRUE(same_bits(serial.response, parallel.response));
+    EXPECT_EQ(std::memcmp(&serial.report.l2, &parallel.report.l2,
+                          sizeof(double)),
+              0);
   }
 }
 

@@ -10,7 +10,7 @@
 #include "layout/generator.h"
 #include "litho/resist.h"
 #include "mpl/tpl.h"
-#include "opc/mpl_ilt.h"
+#include "opc/ilt.h"
 
 namespace ldmo {
 namespace {
@@ -154,11 +154,11 @@ TEST(MplIlt, TriangleUnsolvableWithTwoMasksSolvableWithThree) {
   cfg.theta_m_anneal = 1.2;
 
   // Best DPL assignment (two patterns must share a mask).
-  opc::MplIltEngine dpl(simulator(), 2, cfg);
-  const opc::MplIltResult r2 = dpl.optimize(l, {0, 1, 1});
+  opc::IltEngine dpl(simulator(), cfg, 2);
+  const opc::IltResult r2 = dpl.optimize(l, {0, 1, 1});
   // TPL: all three separated.
-  opc::MplIltEngine tpl(simulator(), 3, cfg);
-  const opc::MplIltResult r3 = tpl.optimize(l, {0, 1, 2});
+  opc::IltEngine tpl(simulator(), cfg, 3);
+  const opc::IltResult r3 = tpl.optimize(l, {0, 1, 2});
 
   EXPECT_LT(r3.report.score(), r2.report.score());
   EXPECT_EQ(r3.report.violations.total(), 0);
@@ -166,37 +166,20 @@ TEST(MplIlt, TriangleUnsolvableWithTwoMasksSolvableWithThree) {
             r3.report.epe.violation_count + r3.report.violations.total());
 }
 
-TEST(MplIlt, TwoMaskEngineMatchesDedicatedDplEngine) {
-  // MplIltEngine with k = 2 must produce the same result as IltEngine
-  // (they implement the same math).
-  layout::LayoutGenerator gen;
-  const layout::Layout l = gen.generate(3);
-  layout::Assignment a(static_cast<std::size_t>(l.pattern_count()), 0);
-  for (int i = 0; i < l.pattern_count(); ++i)
-    a[static_cast<std::size_t>(i)] = i % 2;
-  opc::IltConfig cfg;
-  cfg.max_iterations = 6;
-  opc::IltEngine dedicated(simulator(), cfg);
-  opc::MplIltEngine generic(simulator(), 2, cfg);
-  const opc::IltResult r1 = dedicated.optimize(l, a);
-  const opc::MplIltResult r2 = generic.optimize(l, a);
-  EXPECT_DOUBLE_EQ(r1.report.l2, r2.report.l2);
-  EXPECT_EQ(r1.report.epe.violation_count, r2.report.epe.violation_count);
-  EXPECT_EQ(r1.mask1, r2.masks[0]);
-  EXPECT_EQ(r1.mask2, r2.masks[1]);
-}
-
 TEST(MplIlt, InitStateValidatesMaskRange) {
-  opc::MplIltEngine engine(simulator(), 3);
+  opc::IltEngine engine(simulator(), {}, 3);
   EXPECT_THROW(engine.init_state(conflict_triangle(), {0, 1, 3}),
                ldmo::Error);
-  EXPECT_THROW(opc::MplIltEngine(simulator(), 1), ldmo::Error);
+  EXPECT_THROW(opc::IltEngine(simulator(), {}, 1), ldmo::Error);
+  // Edge-weighted loss is available at every mask count.
   opc::IltConfig edge_weighted;
   edge_weighted.edge_weight = 1.0;
-  EXPECT_THROW(opc::MplIltEngine(simulator(), 3, edge_weighted), ldmo::Error);
+  const opc::IltEngine weighted(simulator(), edge_weighted, 3);
+  EXPECT_FALSE(weighted.init_state(conflict_triangle(), {0, 1, 2})
+                   .loss_weights.empty());
   opc::IltConfig negative_warmup;
   negative_warmup.violation_check_warmup = -1;
-  EXPECT_THROW(opc::MplIltEngine(simulator(), 3, negative_warmup),
+  EXPECT_THROW(opc::IltEngine(simulator(), negative_warmup, 3),
                ldmo::Error);
 }
 
@@ -205,8 +188,8 @@ TEST(MplIlt, AbortOnViolationWorksForThreeMasks) {
   opc::IltConfig cfg;
   cfg.max_iterations = 12;
   cfg.violation_check_warmup = 3;  // check early in this short schedule
-  opc::MplIltEngine engine(simulator(), 3, cfg);
-  const opc::MplIltResult r =
+  opc::IltEngine engine(simulator(), cfg, 3);
+  const opc::IltResult r =
       engine.optimize(conflict_triangle(), {0, 0, 0},
                       /*abort_on_violation=*/true);
   EXPECT_TRUE(r.aborted_on_violation);

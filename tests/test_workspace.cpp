@@ -10,6 +10,7 @@
 
 #include <complex>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -211,9 +212,10 @@ layout::Layout steady_state_layout() {
 TEST(WorkspaceSteadyState, IltIterationsHaveZeroPoolMissesAfterWarmup) {
   // The tentpole acceptance criterion: after the first ILT iteration warms
   // the shapes, further iterations perform zero pool misses (and therefore
-  // zero heap allocations in the pooled paths). Runs serial because the
-  // parallel chunk->thread assignment is nondeterministic — a worker that
-  // sees its first chunk late would record a legitimate cold miss.
+  // zero heap allocations in the pooled paths), at two and three masks.
+  // Runs serial because the parallel chunk->thread assignment is
+  // nondeterministic — a worker that sees its first chunk late would
+  // record a legitimate cold miss.
   const int saved_threads = thread_count();
   set_thread_count(1);
   {
@@ -222,21 +224,24 @@ TEST(WorkspaceSteadyState, IltIterationsHaveZeroPoolMissesAfterWarmup) {
     cfg.pixel_nm = 16.0;
     cfg.kernel_count = 5;
     const litho::LithoSimulator sim(cfg);
-    const opc::IltEngine engine(sim);
     const layout::Layout l = steady_state_layout();
     const GridF target = layout::rasterize_target(l, sim.grid_size());
-    opc::IltState state = engine.init_state(l, {0, 1});
-    opc::IltScratch scratch;
-    engine.step(state, target, scratch);  // warmup: shapes + pool entries
+    for (int k : {2, 3}) {
+      SCOPED_TRACE("k = " + std::to_string(k));
+      const opc::IltEngine engine(sim, {}, k);
+      opc::IltState state = engine.init_state(l, {0, k - 1});
+      opc::IltScratch scratch;
+      engine.step(state, target, scratch);  // warmup: shapes + pool entries
 
-    const long long misses_before =
-        obs::counter("workspace.misses").value();
-    const long long hits_before = obs::counter("workspace.hits").value();
-    for (int i = 0; i < 5; ++i) engine.step(state, target, scratch);
-    EXPECT_EQ(obs::counter("workspace.misses").value() - misses_before, 0)
-        << "steady-state ILT iterations must not allocate pooled buffers";
-    EXPECT_GT(obs::counter("workspace.hits").value() - hits_before, 0)
-        << "the pooled paths should actually be exercising the pools";
+      const long long misses_before =
+          obs::counter("workspace.misses").value();
+      const long long hits_before = obs::counter("workspace.hits").value();
+      for (int i = 0; i < 5; ++i) engine.step(state, target, scratch);
+      EXPECT_EQ(obs::counter("workspace.misses").value() - misses_before, 0)
+          << "steady-state ILT iterations must not allocate pooled buffers";
+      EXPECT_GT(obs::counter("workspace.hits").value() - hits_before, 0)
+          << "the pooled paths should actually be exercising the pools";
+    }
   }
   set_thread_count(saved_threads);
 }
