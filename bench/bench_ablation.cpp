@@ -60,11 +60,15 @@ void ablation_fallback(const litho::LithoSimulator& simulator) {
   // Predictor that prefers putting everything on one mask (pathological).
   class Pathological : public core::PrintabilityPredictor {
    public:
-    double score(const layout::Layout&,
-                 const layout::Assignment& a) override {
-      int ones = 0;
-      for (int v : a) ones += v;
-      return ones;  // prefers all-zero assignments (maximal conflicts)
+    std::vector<double> score(
+        const std::vector<core::ScoringItem>& items) override {
+      std::vector<double> scores;
+      for (const core::ScoringItem& item : items) {
+        int ones = 0;
+        for (int v : *item.assignment) ones += v;
+        scores.push_back(ones);  // prefers all-zero (maximal conflicts)
+      }
+      return scores;
     }
     std::string name() const override { return "pathological"; }
   } predictor;

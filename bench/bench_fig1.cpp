@@ -39,9 +39,10 @@ int main(int argc, char** argv) {
   const std::vector<layout::Assignment> candidates =
       sampling::random_decompositions(layout, 24, 9100);
   core::RawPrintPredictor ranker(simulator);
+  const std::vector<double> raw_scores = ranker.score_batch(layout, candidates);
   std::vector<std::pair<double, std::size_t>> ranked;
   for (std::size_t i = 0; i < candidates.size(); ++i)
-    ranked.push_back({ranker.score(layout, candidates[i]), i});
+    ranked.push_back({raw_scores[i], i});
   std::sort(ranked.begin(), ranked.end());
   const std::vector<std::size_t> picks = {
       ranked.front().second, ranked[ranked.size() / 2].second,

@@ -1,13 +1,11 @@
-// Serving-layer load experiment: cold vs warm-cache throughput and the
-// effect of cross-request inference batching.
+// Serving-layer load experiment: cold vs warm-cache throughput.
 //
-// Four closed-loop passes over the same request mix (N requests drawn
+// Three closed-loop passes over the same request mix (N requests drawn
 // round-robin from K unique layouts, C concurrent clients):
 //
-//   cold          fresh server, caches on, batching on
+//   cold          fresh server, caches on
 //   warm          SAME server, second pass — every layout now hits the
 //                 result cache (the ISSUE-4 acceptance: warm >= 5x cold)
-//   cold-nobatch  fresh server, caches on, batching off (batching delta)
 //   cold-nocache  fresh server, caches off (steady-state compute floor)
 //
 // Then the telemetry-overhead drill (ISSUE-6 acceptance: a 1 Hz /metrics
@@ -165,13 +163,12 @@ double run_timed(serve::Server& server, const std::vector<layout::Layout>& pool,
   return static_cast<double>(completed.load()) / elapsed;
 }
 
-serve::ServeConfig make_config(bool cache, bool batch) {
+serve::ServeConfig make_config(bool cache) {
   serve::ServeConfig cfg;
   cfg.engine.litho = serve_litho();
   cfg.dispatchers = kDispatchers;
   cfg.queue_capacity = kRequests;
   cfg.overflow = serve::OverflowPolicy::kBlock;
-  cfg.batcher.enabled = batch;
   cfg.result_cache.enabled = cache;
   cfg.score_cache.enabled = cache;
   return cfg;
@@ -194,7 +191,7 @@ double cluster_cold_rps(int n_workers, std::uint64_t seed_base) {
   net::RouterConfig router_cfg;
   for (int w = 0; w < n_workers; ++w) {
     net::DaemonConfig daemon_cfg;
-    daemon_cfg.serve = make_config(/*cache=*/true, /*batch=*/true);
+    daemon_cfg.serve = make_config(/*cache=*/true);
     workers.push_back(std::make_unique<net::ServeDaemon>(daemon_cfg));
     router_cfg.worker_ports.push_back(workers.back()->port());
   }
@@ -229,10 +226,10 @@ double cluster_cold_rps(int n_workers, std::uint64_t seed_base) {
 }
 
 void print_row(const PassStats& s) {
-  std::printf("%-13s %8.2f req/s  p50 %7.3fs  p95 %7.3fs  p99 %7.3fs  "
+  std::printf("%-13s %8.2f req/s  p50 %9.3fms  p95 %9.3fms  p99 %9.3fms  "
               "ok %3lld  cached %3lld\n",
-              s.name.c_str(), s.throughput, s.p50, s.p95, s.p99, s.ok,
-              s.cached);
+              s.name.c_str(), s.throughput, 1e3 * s.p50, 1e3 * s.p95,
+              1e3 * s.p99, s.ok, s.cached);
 }
 
 }  // namespace
@@ -260,7 +257,7 @@ int main(int argc, char** argv) {
   {
     // Cold then warm against the SAME server: pass 2 re-requests the same
     // layouts, so the result cache answers everything.
-    serve::Server server(make_config(/*cache=*/true, /*batch=*/true));
+    serve::Server server(make_config(/*cache=*/true));
     rows.push_back(run_pass(server, "cold", pool));
     print_row(rows.back());
     rows.push_back(run_pass(server, "warm", pool));
@@ -270,13 +267,7 @@ int main(int argc, char** argv) {
     server.shutdown();
   }
   {
-    serve::Server server(make_config(/*cache=*/true, /*batch=*/false));
-    rows.push_back(run_pass(server, "cold-nobatch", pool));
-    print_row(rows.back());
-    server.shutdown();
-  }
-  {
-    serve::Server server(make_config(/*cache=*/false, /*batch=*/true));
+    serve::Server server(make_config(/*cache=*/false));
     rows.push_back(run_pass(server, "cold-nocache", pool));
     print_row(rows.back());
     server.shutdown();
@@ -293,8 +284,8 @@ int main(int argc, char** argv) {
   std::vector<double> base_trials, scrape_trials;
   long long scrapes = 0;
   {
-    serve::Server base_server(make_config(/*cache=*/true, /*batch=*/true));
-    serve::ServeConfig cfg = make_config(/*cache=*/true, /*batch=*/true);
+    serve::Server base_server(make_config(/*cache=*/true));
+    serve::ServeConfig cfg = make_config(/*cache=*/true);
     cfg.admin.enabled = true;  // port 0: kernel-assigned ephemeral port
     serve::Server scrape_server(cfg);
     run_pass(base_server, "warmup", pool);  // fill result caches (untimed)

@@ -68,14 +68,15 @@ int main(int argc, char** argv) {
   litho_cfg.pixel_nm = 16.0;
   const litho::LithoSimulator simulator(litho_cfg);
   core::RawPrintPredictor predictor(simulator);
+  const std::vector<double> raw_scores =
+      predictor.score_batch(layout, generated.candidates);
   std::printf("\n%-5s %-24s %s\n", "#", "assignment", "raw-print score");
   for (std::size_t i = 0; i < generated.candidates.size(); ++i) {
     const auto& candidate = generated.candidates[i];
     std::printf("%-5zu ", i);
     for (int mask : candidate) std::printf("%d", mask);
     std::printf("%*s %.1f\n",
-                static_cast<int>(24 - candidate.size()), "",
-                predictor.score(layout, candidate));
+                static_cast<int>(24 - candidate.size()), "", raw_scores[i]);
   }
 
   // Dump the best candidate's grayscale CNN image.

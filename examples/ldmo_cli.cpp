@@ -92,8 +92,8 @@ int usage() {
                "  ldmo_cli serve-bench [--requests N] [--unique K]\n"
                "                    [--clients C] [--dispatchers D]\n"
                "                    [--deadline-ms MS] [--no-cache]\n"
-               "                    [--no-batch] [--report OUT.json]\n"
-               "                    [--threads N] [--inject]\n"
+               "                    [--report OUT.json] [--threads N]\n"
+               "                    [--inject]\n"
                "                    [--inject-prob P] [--inject-seed S]\n"
                "                    [--admin-port P] [--admin-linger-ms MS]\n"
                "                    [--net-workers W]\n"
@@ -696,7 +696,6 @@ int cmd_serve_bench(int argc, char** argv) {
       std::max<std::size_t>(64, static_cast<std::size_t>(requests));
   // Closed-loop clients must not lose requests to backpressure.
   cfg.overflow = serve::OverflowPolicy::kBlock;
-  cfg.batcher.enabled = !flag_present(argc, argv, "--no-batch");
   const bool cache_on = !flag_present(argc, argv, "--no-cache");
   cfg.result_cache.enabled = cache_on;
   cfg.score_cache.enabled = cache_on;
@@ -772,10 +771,9 @@ int cmd_serve_bench(int argc, char** argv) {
   };
 
   std::printf("serve-bench: %d requests (%d unique), %d clients, "
-              "%d dispatchers, cache %s, batching %s%s\n",
+              "%d dispatchers, cache %s%s\n",
               requests, unique, clients, dispatchers,
               cache_on ? "on" : "off",
-              cfg.batcher.enabled ? "on" : "off",
               inject ? ", fault injection on" : "");
   long long terminal = 0;
   for (int s = 0; s < serve::kServeStatusCount; ++s) {
@@ -784,9 +782,10 @@ int cmd_serve_bench(int argc, char** argv) {
     std::printf("  %-10s %lld\n", serve::status_name(status),
                 server.status_count(status));
   }
-  std::printf("  throughput %.2f req/s  p50 %.3fs  p95 %.3fs  p99 %.3fs\n",
-              static_cast<double>(requests) / elapsed, pct(0.50), pct(0.95),
-              pct(0.99));
+  std::printf("  throughput %.2f req/s  p50 %.3fms  p95 %.3fms  "
+              "p99 %.3fms\n",
+              static_cast<double>(requests) / elapsed, 1e3 * pct(0.50),
+              1e3 * pct(0.95), 1e3 * pct(0.99));
   if (inject) {
     std::printf("  fault drill: %lld retries, %lld degraded\n",
                 server.retry_count(), server.degraded_count());

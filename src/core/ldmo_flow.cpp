@@ -148,19 +148,21 @@ LdmoResult run_ldmo_flow(const opc::IltEngine& engine,
   // prediction that throws (model fault, warmstart.predict failpoint)
   // degrades that attempt to the paper's cold init.
   const bool want_warm = config.warm_start.enabled && warm_start != nullptr;
-  std::vector<std::vector<GridF>> seeds;  // one {p1, p2} pair per attempt
+  std::vector<std::vector<GridF>> seeds;  // one field per mask per attempt
   std::vector<char> seeded(static_cast<std::size_t>(attempts), 0);
   if (want_warm) {
     static obs::Counter& predictions_counter =
         obs::counter("warmstart.predictions");
     static obs::Counter& predict_error_counter =
         obs::counter("warmstart.predict_errors");
-    seeds.assign(static_cast<std::size_t>(attempts), std::vector<GridF>(2));
+    seeds.assign(static_cast<std::size_t>(attempts),
+                 std::vector<GridF>(
+                     static_cast<std::size_t>(engine.mask_count())));
     for (int attempt = 0; attempt < attempts; ++attempt) {
       const std::size_t rank = static_cast<std::size_t>(attempt);
       try {
         warm_start->seed(layout, generated.candidates[order[rank]],
-                         seeds[rank][0], seeds[rank][1]);
+                         seeds[rank]);
         predictions_counter.inc();
         seeded[rank] = 1;
       } catch (const std::exception& e) {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/grid.h"
 #include "layout/layout.h"
@@ -34,12 +35,14 @@ class MaskInitializer {
   /// Grid resolution the initializer produces; must match the simulator.
   virtual int grid_size() const = 0;
 
-  /// Fills `p1`/`p2` (resized to grid_size x grid_size) with continuous
-  /// P-field seeds for the given decomposition. Throws FlowException
-  /// (stage kPredict) on failure; the flow degrades to the cold init.
+  /// Fills every grid of `fields` (one per mask; the flow sizes it to the
+  /// ILT engine's mask count) with a grid_size x grid_size continuous
+  /// P-field seed for the given decomposition. Throws FlowException (stage
+  /// kPredict) on failure, including a mask count the model does not
+  /// produce; the flow then degrades that attempt to the cold init.
   virtual void seed(const layout::Layout& layout,
-                    const layout::Assignment& assignment, GridF& p1,
-                    GridF& p2) const = 0;
+                    const layout::Assignment& assignment,
+                    std::vector<GridF>& fields) const = 0;
 };
 
 }  // namespace ldmo::core

@@ -15,23 +15,11 @@ namespace ldmo::core {
 std::vector<double> PrintabilityPredictor::score_batch(
     const layout::Layout& layout,
     const std::vector<layout::Assignment>& candidates) {
-  std::vector<double> scores;
-  scores.reserve(candidates.size());
+  std::vector<ScoringItem> items;
+  items.reserve(candidates.size());
   for (const layout::Assignment& candidate : candidates)
-    scores.push_back(score(layout, candidate));
-  return scores;
-}
-
-std::vector<std::vector<double>> PrintabilityPredictor::score_batch_multi(
-    const std::vector<ScoringJob>& jobs) {
-  std::vector<std::vector<double>> results;
-  results.reserve(jobs.size());
-  for (const ScoringJob& job : jobs) {
-    require(job.layout != nullptr && job.candidates != nullptr,
-            "score_batch_multi: null job");
-    results.push_back(score_batch(*job.layout, *job.candidates));
-  }
-  return results;
+    items.push_back({&layout, &candidate});
+  return score(items);
 }
 
 CnnPredictor::CnnPredictor(std::unique_ptr<nn::ResNetRegressor> network)
@@ -39,76 +27,42 @@ CnnPredictor::CnnPredictor(std::unique_ptr<nn::ResNetRegressor> network)
   require(network_ != nullptr, "CnnPredictor: null network");
 }
 
-double CnnPredictor::score(const layout::Layout& layout,
-                           const layout::Assignment& assignment) {
+std::vector<double> CnnPredictor::score(
+    const std::vector<ScoringItem>& items) {
   // The paper's headline economy: each CNN inference here replaces a full
   // ILT + lithography-simulation evaluation (compare against
   // "litho.exposures" in the run report).
   static obs::Counter& inference_counter =
       obs::counter("predictor.cnn.inferences");
-  inference_counter.inc();
-  const nn::Tensor image = sampling::decomposition_tensor(
-      layout, assignment, network_->config().input_size);
-  return network_->predict_one(image);
-}
-
-std::vector<double> CnnPredictor::score_batch(
-    const layout::Layout& layout,
-    const std::vector<layout::Assignment>& candidates) {
-  // One-job case of the multi path; the chunking is identical either way.
-  return score_batch_multi({{&layout, &candidates}}).front();
-}
-
-std::vector<std::vector<double>> CnnPredictor::score_batch_multi(
-    const std::vector<ScoringJob>& jobs) {
-  static obs::Counter& inference_counter =
-      obs::counter("predictor.cnn.inferences");
   fail::maybe_fail("predictor.score", FlowStage::kPredict);
+  inference_counter.inc(static_cast<long long>(items.size()));
 
   const int size = network_->config().input_size;
   const std::size_t pixels =
       static_cast<std::size_t>(size) * static_cast<std::size_t>(size);
-
-  // Flatten every job's (layout, candidate) pairs into one stream so
-  // inference batches fill across request boundaries.
-  struct Item {
-    const layout::Layout* layout;
-    const layout::Assignment* candidate;
-    double* slot;
-  };
-  std::vector<std::vector<double>> results(jobs.size());
-  std::vector<Item> items;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    require(jobs[j].layout != nullptr && jobs[j].candidates != nullptr,
-            "CnnPredictor::score_batch_multi: null job");
-    results[j].resize(jobs[j].candidates->size());
-    for (std::size_t c = 0; c < jobs[j].candidates->size(); ++c)
-      items.push_back({jobs[j].layout, &(*jobs[j].candidates)[c],
-                       &results[j][c]});
-  }
-  inference_counter.inc(static_cast<long long>(items.size()));
 
   // Fixed batch size, independent of the thread count AND of how requests
   // were coalesced: it bounds activation memory, and eval-mode inference is
   // sample-independent, so each score is bit-identical however the stream
   // is chunked (the serving determinism contract).
   constexpr std::size_t kBatch = 16;
+  std::vector<double> scores(items.size());
   for (std::size_t base = 0; base < items.size(); base += kBatch) {
     const std::size_t count = std::min(kBatch, items.size() - base);
     nn::Tensor batch({static_cast<int>(count), 1, size, size});
     // Rasterizing the decomposition images is per-candidate independent.
     runtime::parallel_for(count, [&](std::size_t i) {
-      const Item& item = items[base + i];
+      const ScoringItem& item = items[base + i];
       const nn::Tensor image = sampling::decomposition_tensor(
-          *item.layout, *item.candidate, size);
+          *item.layout, *item.assignment, size);
       std::memcpy(batch.data() + i * pixels, image.data(),
                   pixels * sizeof(float));
     });
     const nn::Tensor out = network_->forward(batch, /*training=*/false);
     for (std::size_t i = 0; i < count; ++i)
-      *items[base + i].slot = static_cast<double>(out[i]);
+      scores[base + i] = static_cast<double>(out[i]);
   }
-  return results;
+  return scores;
 }
 
 void CnnPredictor::save(const std::string& path) {
@@ -123,24 +77,16 @@ IltOraclePredictor::IltOraclePredictor(const opc::IltEngine& engine,
                                        litho::ScoreWeights weights)
     : engine_(engine), weights_(weights) {}
 
-double IltOraclePredictor::score(const layout::Layout& layout,
-                                 const layout::Assignment& assignment) {
+std::vector<double> IltOraclePredictor::score(
+    const std::vector<ScoringItem>& items) {
   static obs::Counter& oracle_counter =
       obs::counter("predictor.oracle.ilt_runs");
-  oracle_counter.inc();
-  return engine_.optimize(layout, assignment).report.score(weights_);
-}
-
-std::vector<double> IltOraclePredictor::score_batch(
-    const layout::Layout& layout,
-    const std::vector<layout::Assignment>& candidates) {
-  static obs::Counter& oracle_counter =
-      obs::counter("predictor.oracle.ilt_runs");
-  oracle_counter.inc(static_cast<long long>(candidates.size()));
-  std::vector<double> scores(candidates.size());
-  runtime::parallel_for(candidates.size(), [&](std::size_t i) {
-    scores[i] =
-        engine_.optimize(layout, candidates[i]).report.score(weights_);
+  fail::maybe_fail("predictor.score", FlowStage::kPredict);
+  oracle_counter.inc(static_cast<long long>(items.size()));
+  std::vector<double> scores(items.size());
+  runtime::parallel_for(items.size(), [&](std::size_t i) {
+    scores[i] = engine_.optimize(*items[i].layout, *items[i].assignment)
+                    .report.score(weights_);
   });
   return scores;
 }
@@ -149,26 +95,17 @@ RawPrintPredictor::RawPrintPredictor(const litho::LithoSimulator& simulator,
                                      litho::ScoreWeights weights)
     : simulator_(simulator), weights_(weights) {}
 
-double RawPrintPredictor::score(const layout::Layout& layout,
-                                const layout::Assignment& assignment) {
+std::vector<double> RawPrintPredictor::score(
+    const std::vector<ScoringItem>& items) {
   static obs::Counter& raw_counter =
       obs::counter("predictor.raw_print.evaluations");
-  raw_counter.inc();
-  const GridF response = simulator_.print_decomposition(layout, assignment);
-  return simulator_.evaluate(response, layout).score(weights_);
-}
-
-std::vector<double> RawPrintPredictor::score_batch(
-    const layout::Layout& layout,
-    const std::vector<layout::Assignment>& candidates) {
-  static obs::Counter& raw_counter =
-      obs::counter("predictor.raw_print.evaluations");
-  raw_counter.inc(static_cast<long long>(candidates.size()));
   fail::maybe_fail("predictor.score", FlowStage::kPredict);
-  std::vector<double> scores(candidates.size());
-  runtime::parallel_for(candidates.size(), [&](std::size_t i) {
+  raw_counter.inc(static_cast<long long>(items.size()));
+  std::vector<double> scores(items.size());
+  runtime::parallel_for(items.size(), [&](std::size_t i) {
+    const layout::Layout& layout = *items[i].layout;
     const GridF response =
-        simulator_.print_decomposition(layout, candidates[i]);
+        simulator_.print_decomposition(layout, *items[i].assignment);
     scores[i] = simulator_.evaluate(response, layout).score(weights_);
   });
   return scores;

@@ -3,7 +3,8 @@
 // A predictor answers one question: "how printable will this decomposition
 // be after mask optimization?" — lower score is better. The paper's
 // contribution is answering it with a CNN in milliseconds instead of a
-// lithography-simulation loop in seconds.
+// lithography-simulation loop in seconds. Every predictor answers through
+// one virtual, score(items), for any number of (layout, candidate) items.
 #pragma once
 
 #include <cstdint>
@@ -18,39 +19,34 @@
 
 namespace ldmo::core {
 
-/// One request's scoring workload, for coalescing inference across
-/// concurrent requests (serve::InferenceBatcher). Non-owning: the pointed-to
-/// layout and candidate list must outlive the score_batch_multi call.
-struct ScoringJob {
+/// One (layout, candidate) pair to score. Non-owning: both must outlive
+/// the score() call that receives the item.
+struct ScoringItem {
   const layout::Layout* layout = nullptr;
-  const std::vector<layout::Assignment>* candidates = nullptr;
+  const layout::Assignment* assignment = nullptr;
 };
 
-/// Interface: score a decomposition candidate (lower = better).
+/// Interface: score decomposition candidates (lower = better).
+///
+/// score() is the one scoring entry point: the flow reaches it through
+/// score_batch, and the serve batcher hands it the concatenated items of
+/// every request it coalesced. Each item's score must depend on that item
+/// alone — not on the batch it arrived in — so a coalesced score is
+/// bit-identical to a solo one (the serving determinism contract).
+/// Implementations need not be thread-safe: the serve batcher serializes
+/// entry.
 class PrintabilityPredictor {
  public:
   virtual ~PrintabilityPredictor() = default;
-  virtual double score(const layout::Layout& layout,
-                       const layout::Assignment& assignment) = 0;
 
-  /// Scores every candidate of one layout. Equivalent to calling score()
-  /// in order — and required to return bit-identical values to that loop —
-  /// but implementations may batch (CNN) or parallelize (oracles) across
-  /// the candidate axis. The flow's predict phase always enters here.
-  virtual std::vector<double> score_batch(
+  /// Scores every item; the result is index-aligned with `items`.
+  /// Implementations may batch (CNN) or parallelize (oracles) across items.
+  virtual std::vector<double> score(const std::vector<ScoringItem>& items) = 0;
+
+  /// Scores every candidate of one layout through score().
+  std::vector<double> score_batch(
       const layout::Layout& layout,
       const std::vector<layout::Assignment>& candidates);
-
-  /// Scores several jobs at once — the cross-request batching hook. The
-  /// result is index-aligned with `jobs`, each entry index-aligned with
-  /// that job's candidates, and every score is REQUIRED to be bit-identical
-  /// to a solo score_batch of the same job (the serving layer's determinism
-  /// contract rests on it). The default runs the jobs in order; the CNN
-  /// overrides it to share fixed-size inference batches across jobs.
-  /// Implementations need not be thread-safe — the serve batcher serializes
-  /// entry.
-  virtual std::vector<std::vector<double>> score_batch_multi(
-      const std::vector<ScoringJob>& jobs);
 
   virtual std::string name() const = 0;
 };
@@ -63,21 +59,11 @@ class CnnPredictor : public PrintabilityPredictor {
   /// Takes ownership of a (typically trained) regressor.
   explicit CnnPredictor(std::unique_ptr<nn::ResNetRegressor> network);
 
-  double score(const layout::Layout& layout,
-               const layout::Assignment& assignment) override;
-  /// Batched inference: candidates are rasterized in parallel and pushed
-  /// through the network in fixed-size batches (BatchNorm runs in eval
-  /// mode, so batching is sample-independent and scores match score()).
-  std::vector<double> score_batch(
-      const layout::Layout& layout,
-      const std::vector<layout::Assignment>& candidates) override;
-  /// Cross-request batching: flattens every job's (layout, candidate)
-  /// pairs into one stream and runs the same fixed-kBatch inference path
-  /// as score_batch over it, so batches fill across request boundaries.
-  /// Eval-mode inference is sample-independent, so each score is
-  /// bit-identical to a solo run regardless of batch composition.
-  std::vector<std::vector<double>> score_batch_multi(
-      const std::vector<ScoringJob>& jobs) override;
+  /// Batched inference: items are rasterized in parallel and pushed
+  /// through the network in fixed-size batches. BatchNorm runs in eval
+  /// mode, so inference is sample-independent and each score is
+  /// bit-identical however the items were grouped.
+  std::vector<double> score(const std::vector<ScoringItem>& items) override;
   std::string name() const override { return "cnn"; }
 
   nn::ResNetRegressor& network() { return *network_; }
@@ -103,18 +89,8 @@ class VersionedPredictor : public PrintabilityPredictor {
         version_(version),
         name_(inner_->name() + "@v" + std::to_string(version)) {}
 
-  double score(const layout::Layout& layout,
-               const layout::Assignment& assignment) override {
-    return inner_->score(layout, assignment);
-  }
-  std::vector<double> score_batch(
-      const layout::Layout& layout,
-      const std::vector<layout::Assignment>& candidates) override {
-    return inner_->score_batch(layout, candidates);
-  }
-  std::vector<std::vector<double>> score_batch_multi(
-      const std::vector<ScoringJob>& jobs) override {
-    return inner_->score_batch_multi(jobs);
+  std::vector<double> score(const std::vector<ScoringItem>& items) override {
+    return inner_->score(items);
   }
   std::string name() const override { return name_; }
   std::uint64_t version() const { return version_; }
@@ -133,12 +109,8 @@ class IltOraclePredictor : public PrintabilityPredictor {
   IltOraclePredictor(const opc::IltEngine& engine,
                      litho::ScoreWeights weights = {});
 
-  double score(const layout::Layout& layout,
-               const layout::Assignment& assignment) override;
-  /// Parallelizes the (expensive, independent) per-candidate ILT runs.
-  std::vector<double> score_batch(
-      const layout::Layout& layout,
-      const std::vector<layout::Assignment>& candidates) override;
+  /// Parallelizes the (expensive, independent) per-item ILT runs.
+  std::vector<double> score(const std::vector<ScoringItem>& items) override;
   std::string name() const override { return "ilt-oracle"; }
 
  private:
@@ -154,12 +126,8 @@ class RawPrintPredictor : public PrintabilityPredictor {
   explicit RawPrintPredictor(const litho::LithoSimulator& simulator,
                              litho::ScoreWeights weights = {});
 
-  double score(const layout::Layout& layout,
-               const layout::Assignment& assignment) override;
-  /// Parallelizes the per-candidate print+evaluate passes.
-  std::vector<double> score_batch(
-      const layout::Layout& layout,
-      const std::vector<layout::Assignment>& candidates) override;
+  /// Parallelizes the per-item print+evaluate passes.
+  std::vector<double> score(const std::vector<ScoringItem>& items) override;
   std::string name() const override { return "raw-print"; }
 
  private:

@@ -36,41 +36,22 @@ void InferenceBatcher::set_backend(core::PrintabilityPredictor& backend) {
 }
 
 std::vector<double> InferenceBatcher::score(
-    const layout::Layout& layout,
-    const std::vector<layout::Assignment>& candidates) {
-  if (candidates.empty()) return {};
-
-  std::unique_lock<std::mutex> lock(mu_);
-
-  if (!config_.enabled) {
-    // Direct path, still one-caller-at-a-time through the backend.
-    cv_.wait(lock, [&] { return !flush_in_progress_; });
-    flush_in_progress_ = true;
-    std::vector<double> scores;
-    std::exception_ptr error;
-    lock.unlock();
-    try {
-      scores = backend_->score_batch(layout, candidates);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    flush_in_progress_ = false;
-    cv_.notify_all();
-    if (error) std::rethrow_exception(error);
-    return scores;
-  }
+    const std::vector<core::ScoringItem>& items) {
+  if (items.empty()) return {};
 
   // Join (or open) the coalescing batch.
+  std::unique_lock<std::mutex> lock(mu_);
   if (!open_) open_ = std::make_shared<Batch>();
   std::shared_ptr<Batch> batch = open_;
-  const std::size_t my_index = batch->jobs.size();
-  batch->jobs.push_back({&layout, &candidates});
-  batch->candidates += candidates.size();
-  const bool leader = my_index == 0;
-  if (batch->candidates >=
-      static_cast<std::size_t>(config_.flush_candidates))
-    cv_.notify_all();  // wake the leader: batch is full
+  const std::size_t offset = batch->items.size();
+  batch->items.insert(batch->items.end(), items.begin(), items.end());
+  ++batch->joiners;
+  const bool leader = offset == 0;
+  const auto full = [&] {
+    return batch->items.size() >=
+           static_cast<std::size_t>(config_.flush_candidates);
+  };
+  if (full()) cv_.notify_all();  // wake the leader: batch is full
 
   if (leader) {
     // The leader parks until the batch is full or its timeout lapses, then
@@ -80,10 +61,7 @@ std::vector<double> InferenceBatcher::score(
                            std::chrono::duration<double>(
                                config_.flush_timeout_ms / 1000.0));
     for (;;) {
-      const bool full =
-          batch->candidates >=
-          static_cast<std::size_t>(config_.flush_candidates);
-      if (!flush_in_progress_ && (full || Clock::now() >= deadline)) break;
+      if (!flush_in_progress_ && (full() || Clock::now() >= deadline)) break;
       if (flush_in_progress_)
         cv_.wait(lock);
       else
@@ -100,27 +78,32 @@ std::vector<double> InferenceBatcher::score(
       throw FlowException(batch->error.stage, batch->error.message);
     throw Error(batch->error.message);
   }
-  return std::move(batch->results[my_index]);
+  const auto first =
+      batch->scores.begin() + static_cast<std::ptrdiff_t>(offset);
+  return std::vector<double>(
+      first, first + static_cast<std::ptrdiff_t>(items.size()));
 }
 
 void InferenceBatcher::flush(std::shared_ptr<Batch> batch,
                              std::unique_lock<std::mutex>& lock) {
   // Close the generation: late arrivals open a fresh batch and their
-  // leader queues behind flush_in_progress_.
+  // leader queues behind flush_in_progress_. Nobody appends to a closed
+  // batch, so its items can be read outside the lock.
   if (open_ == batch) open_.reset();
   flush_in_progress_ = true;
   flush_counter_.inc();
-  job_counter_.inc(static_cast<long long>(batch->jobs.size()));
-  candidate_counter_.inc(static_cast<long long>(batch->candidates));
-  if (batch->jobs.size() > 1) coalesced_flush_counter_.inc();
+  job_counter_.inc(static_cast<long long>(batch->joiners));
+  candidate_counter_.inc(static_cast<long long>(batch->items.size()));
+  if (batch->joiners > 1) coalesced_flush_counter_.inc();
 
-  std::vector<core::ScoringJob> jobs = batch->jobs;  // stable copy
   lock.unlock();
-  std::vector<std::vector<double>> results;
+  std::vector<double> scores;
   bool failed = false, tagged = false;
   FlowError error;
   try {
-    results = backend_->score_batch_multi(jobs);
+    scores = backend_->score(batch->items);
+    require(scores.size() == batch->items.size(),
+            "scoring backend returned a misaligned result");
   } catch (const FlowException& e) {
     failed = true;
     tagged = true;
@@ -133,7 +116,7 @@ void InferenceBatcher::flush(std::shared_ptr<Batch> batch,
     error = {FlowStage::kUnknown, "unknown scoring backend exception"};
   }
   lock.lock();
-  batch->results = std::move(results);
+  batch->scores = std::move(scores);
   batch->failed = failed;
   batch->stage_tagged = tagged;
   batch->error = std::move(error);
@@ -142,41 +125,42 @@ void InferenceBatcher::flush(std::shared_ptr<Batch> batch,
   cv_.notify_all();
 }
 
-BatchingPredictor::BatchingPredictor(InferenceBatcher& batcher,
-                                     ShardedLruCache<double>* score_cache,
-                                     std::uint64_t config_fp)
+BatchingPredictor::BatchingPredictor(
+    InferenceBatcher& batcher, ShardedLruCache<double>* score_cache,
+    const std::atomic<std::uint64_t>& config_fp)
     : batcher_(batcher), score_cache_(score_cache), config_fp_(config_fp) {}
 
-double BatchingPredictor::score(const layout::Layout& layout,
-                                const layout::Assignment& assignment) {
-  return score_batch(layout, {assignment}).front();
-}
-
-std::vector<double> BatchingPredictor::score_batch(
-    const layout::Layout& layout,
-    const std::vector<layout::Assignment>& candidates) {
+std::vector<double> BatchingPredictor::score(
+    const std::vector<core::ScoringItem>& items) {
   if (score_cache_ == nullptr || !score_cache_->enabled())
-    return batcher_.score(layout, candidates);
+    return batcher_.score(items);
 
   // Score tier: cached doubles are the exact values a cold run computed,
   // so mixing hits with fresh inference preserves bit-identity.
-  const std::uint64_t layout_fp = layout::fingerprint(layout);
   const std::uint64_t config_fp = config_fp_.load(std::memory_order_relaxed);
-  std::vector<double> scores(candidates.size());
-  std::vector<std::uint64_t> keys(candidates.size());
+  std::vector<double> scores(items.size());
+  std::vector<std::uint64_t> keys(items.size());
   std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    keys[i] = score_cache_key(config_fp, layout_fp, candidates[i]);
-    if (std::optional<double> hit = score_cache_->get(keys[i]))
+  std::vector<core::ScoringItem> fresh;
+  // Items arrive grouped by layout (score_batch builds them from one), so
+  // each layout is fingerprinted once.
+  const layout::Layout* fingerprinted = nullptr;
+  std::uint64_t layout_fp = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (items[i].layout != fingerprinted) {
+      fingerprinted = items[i].layout;
+      layout_fp = layout::fingerprint(*fingerprinted);
+    }
+    keys[i] = score_cache_key(config_fp, layout_fp, *items[i].assignment);
+    if (std::optional<double> hit = score_cache_->get(keys[i])) {
       scores[i] = *hit;
-    else
+    } else {
       missing.push_back(i);
+      fresh.push_back(items[i]);
+    }
   }
-  if (!missing.empty()) {
-    std::vector<layout::Assignment> fresh;
-    fresh.reserve(missing.size());
-    for (std::size_t i : missing) fresh.push_back(candidates[i]);
-    const std::vector<double> fresh_scores = batcher_.score(layout, fresh);
+  if (!fresh.empty()) {
+    const std::vector<double> fresh_scores = batcher_.score(fresh);
     for (std::size_t j = 0; j < missing.size(); ++j) {
       scores[missing[j]] = fresh_scores[j];
       score_cache_->put(keys[missing[j]], fresh_scores[j]);

@@ -1,24 +1,23 @@
 // Cross-request inference batching.
 //
 // The flow's predict phase scores every candidate of one layout in one
-// score_batch call. Under concurrent serving, many dispatchers hit that
-// phase at overlapping times with small candidate lists; scoring each list
-// solo leaves the CNN's fixed-size inference batches mostly empty. The
-// InferenceBatcher coalesces: concurrent score() calls join an open batch,
-// the first joiner (the leader) flushes it through the backend's
-// score_batch_multi once the batch holds enough candidates or a flush
-// timeout expires, and every joiner wakes with exactly its own scores.
+// call. Under concurrent serving, many dispatchers hit that phase at
+// overlapping times with small candidate lists; scoring each list solo
+// leaves the CNN's fixed-size inference batches mostly empty. The
+// InferenceBatcher coalesces: concurrent score() calls append their items
+// to an open batch, the first joiner (the leader) flushes the concatenated
+// items through one backend score() call once the batch holds enough items
+// or a flush timeout expires, and every joiner wakes with exactly its own
+// slice of the scores.
 //
-// Determinism: score_batch_multi is REQUIRED (predictor.h) to return
-// bit-identical scores to a solo score_batch per job, so coalescing never
-// changes a response — only its latency. The batcher serializes backend
-// entry (one flush at a time; the direct path takes the same mutex), so
-// backends need not be thread-safe.
+// Determinism: a backend's score for an item must not depend on the batch
+// the item arrived in (predictor.h), so coalescing never changes a
+// response — only its latency. The batcher serializes backend entry (one
+// flush at a time), so backends need not be thread-safe.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
-#include <exception>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -32,10 +31,7 @@
 namespace ldmo::serve {
 
 struct BatcherConfig {
-  /// Disabled = every score() goes straight to the backend (still
-  /// serialized); the serve-bench --no-batch baseline.
-  bool enabled = true;
-  /// Flush as soon as the open batch holds this many candidates.
+  /// Flush as soon as the open batch holds this many items.
   int flush_candidates = 16;
   /// Flush a non-full batch this long after its first joiner arrived.
   double flush_timeout_ms = 2.0;
@@ -44,16 +40,15 @@ struct BatcherConfig {
 class InferenceBatcher {
  public:
   /// `backend` must outlive the batcher. All backend entry happens under
-  /// the batcher's serialization, whatever `config.enabled` says.
+  /// the batcher's serialization.
   InferenceBatcher(core::PrintabilityPredictor& backend,
                    BatcherConfig config);
 
-  /// Scores `candidates` for `layout`, possibly coalesced with concurrent
-  /// callers. Blocks until this caller's scores are ready; rethrows any
-  /// backend exception in every joined caller. The referenced layout and
-  /// candidate list must stay alive for the duration of the call.
-  std::vector<double> score(const layout::Layout& layout,
-                            const std::vector<layout::Assignment>& candidates);
+  /// Scores `items`, possibly coalesced with concurrent callers. Blocks
+  /// until this caller's scores are ready; rethrows any backend exception
+  /// in every joined caller. The layouts and assignments the items point
+  /// at must stay alive for the duration of the call.
+  std::vector<double> score(const std::vector<core::ScoringItem>& items);
 
   /// Repoints the batcher at a new backend (the server's in-process
   /// blue/green swap). Waits out any in-flight flush under the batcher
@@ -66,16 +61,18 @@ class InferenceBatcher {
   core::PrintabilityPredictor& backend() { return *backend_; }
 
  private:
-  /// One coalescing generation: jobs joined before its flush started.
-  /// A backend failure is captured as a FlowError VALUE, not an
-  /// exception_ptr: rethrowing one shared exception_ptr would hand every
-  /// joiner thread the same underlying exception object, racing one
-  /// thread's catch-cleanup against another's reads. Each joiner throws
-  /// its own fresh exception built from the value instead.
+  /// One coalescing generation: the items of every joiner that arrived
+  /// before its flush started, concatenated in arrival order; a joiner
+  /// remembers its offset and count. A backend failure is captured as a
+  /// FlowError VALUE, not an exception_ptr: rethrowing one shared
+  /// exception_ptr would hand every joiner thread the same underlying
+  /// exception object, racing one thread's catch-cleanup against another's
+  /// reads. Each joiner throws its own fresh exception built from the value
+  /// instead.
   struct Batch {
-    std::vector<core::ScoringJob> jobs;
-    std::vector<std::vector<double>> results;  ///< aligned with jobs
-    std::size_t candidates = 0;
+    std::vector<core::ScoringItem> items;
+    std::vector<double> scores;  ///< aligned with items once flushed
+    std::size_t joiners = 0;
     bool flushed = false;
     bool failed = false;
     bool stage_tagged = false;  ///< original exception was a FlowException
@@ -107,31 +104,22 @@ class BatchingPredictor : public core::PrintabilityPredictor {
  public:
   /// `batcher` (and its backend) must outlive this predictor;
   /// `score_cache` may be null to disable the score tier. `config_fp`
-  /// namespaces cached scores by flow configuration.
+  /// namespaces cached scores by flow configuration; it is read on every
+  /// call, so a backend swap that stores a new fingerprint makes scores
+  /// from the old model unreachable.
   BatchingPredictor(InferenceBatcher& batcher,
                     ShardedLruCache<double>* score_cache,
-                    std::uint64_t config_fp);
+                    const std::atomic<std::uint64_t>& config_fp);
 
-  double score(const layout::Layout& layout,
-               const layout::Assignment& assignment) override;
-  std::vector<double> score_batch(
-      const layout::Layout& layout,
-      const std::vector<layout::Assignment>& candidates) override;
+  std::vector<double> score(
+      const std::vector<core::ScoringItem>& items) override;
   /// Backend's name: the adapter must not change the config fingerprint.
   std::string name() const override { return batcher_.backend().name(); }
-
-  /// Re-namespaces cached scores after a backend swap (the new fingerprint
-  /// embeds the new predictor name, so scores from the old model become
-  /// unreachable). Called by Server::swap_backend while dispatchers are
-  /// quiesced; atomic so a racing reader sees old or new, never torn.
-  void set_config_fp(std::uint64_t config_fp) {
-    config_fp_.store(config_fp, std::memory_order_relaxed);
-  }
 
  private:
   InferenceBatcher& batcher_;
   ShardedLruCache<double>* score_cache_;
-  std::atomic<std::uint64_t> config_fp_;
+  const std::atomic<std::uint64_t>& config_fp_;
 };
 
 }  // namespace ldmo::serve

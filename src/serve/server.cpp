@@ -63,13 +63,10 @@ Server::Server(ServeConfig config,
       flight_recorder_(config_.flight.capacity) {
   require(config_.dispatchers >= 1, "Server: dispatchers must be >= 1");
   engines_.reserve(static_cast<std::size_t>(config_.dispatchers));
-  batch_predictors_.reserve(static_cast<std::size_t>(config_.dispatchers));
   for (int i = 0; i < config_.dispatchers; ++i) {
-    auto predictor = std::make_unique<BatchingPredictor>(
-        batcher_, &score_cache_, config_fp_.load());
-    batch_predictors_.push_back(predictor.get());
     engines_.push_back(std::make_unique<core::FlowEngine>(
-        config_.engine, std::move(predictor)));
+        config_.engine, std::make_unique<BatchingPredictor>(
+                            batcher_, &score_cache_, config_fp_)));
     if (config_.warm_start) engines_.back()->set_warm_start(config_.warm_start);
   }
   dispatchers_.reserve(engines_.size());
@@ -209,8 +206,6 @@ void Server::swap_backend(
       config_.engine, backend_->name(),
       config_.warm_start ? config_.warm_start->version() : 0);
   config_fp_.store(fp);
-  for (BatchingPredictor* predictor : batch_predictors_)
-    predictor->set_config_fp(fp);
   backend_swaps_.fetch_add(1);
   obs::counter("serve.backend_swaps").inc();
   log_info("serve: backend swapped to ", backend_->name(),

@@ -284,6 +284,9 @@ class Server {
   /// rwlock costs one uncontended shared acquisition per request.
   mutable std::shared_mutex backend_mu_;
   std::unique_ptr<core::PrintabilityPredictor> backend_;
+  /// Namespaces result and score cache keys. Every dispatcher's
+  /// BatchingPredictor reads it by reference, so swap_backend's store
+  /// re-namespaces the score cache for all of them at once.
   std::atomic<std::uint64_t> config_fp_{0};
 
   InferenceBatcher batcher_;
@@ -292,10 +295,6 @@ class Server {
 
   AdmissionQueue<Pending> queue_;
   std::vector<std::unique_ptr<core::FlowEngine>> engines_;
-  /// The BatchingPredictor each engine owns (non-owning view), so
-  /// swap_backend can push the new fingerprint into the score-cache
-  /// namespacing of every dispatcher.
-  std::vector<BatchingPredictor*> batch_predictors_;
   std::vector<std::thread> dispatchers_;
   std::atomic<long long> backend_swaps_{0};
 

@@ -1,6 +1,9 @@
 #include "warmstart/warm_start.h"
 
+#include <string>
+
 #include "common/failpoint.h"
+#include "common/flow_error.h"
 #include "common/hash.h"
 #include "layout/raster.h"
 #include "nn/serialize.h"
@@ -40,10 +43,15 @@ void MaskWarmStart::refresh_version() {
 }
 
 void MaskWarmStart::seed(const layout::Layout& layout,
-                         const layout::Assignment& assignment, GridF& p1,
-                         GridF& p2) const {
+                         const layout::Assignment& assignment,
+                         std::vector<GridF>& fields) const {
   static obs::Counter& seeds_counter = obs::counter("warmstart.seeds");
   fail::maybe_fail("warmstart.predict", FlowStage::kPredict);
+  if (fields.size() != 2)
+    throw FlowException(FlowStage::kPredict,
+                        "MaskWarmStart: MaskNet seeds 2 masks, the ILT "
+                        "engine optimizes " +
+                            std::to_string(fields.size()));
   obs::Span span("warmstart.seed");
   span.attr("layout", layout.name);
 
@@ -69,11 +77,10 @@ void MaskWarmStart::seed(const layout::Layout& layout,
     output = net_.forward(input, /*training=*/false);
   }
 
-  p1.resize(n, n);
-  p2.resize(n, n);
-  for (std::size_t i = 0; i < plane; ++i) {
-    p1[i] = static_cast<double>(output[i]);
-    p2[i] = static_cast<double>(output[plane + i]);
+  for (std::size_t m = 0; m < 2; ++m) {
+    fields[m].resize(n, n);
+    for (std::size_t i = 0; i < plane; ++i)
+      fields[m][i] = static_cast<double>(output[m * plane + i]);
   }
   seeds_counter.inc();
 }

@@ -37,10 +37,12 @@ class MaskWarmStart : public core::MaskInitializer {
 
   /// Rasterizes (target, decomposition) planes, runs the net in eval mode
   /// and writes the two predicted P fields. Thread-safe (internally
-  /// serialized). Fires the `warmstart.predict` failpoint.
+  /// serialized). Fires the `warmstart.predict` failpoint. MaskNet is a
+  /// double-patterning model: any `fields.size()` other than 2 throws
+  /// FlowException(kPredict).
   void seed(const layout::Layout& layout,
-            const layout::Assignment& assignment, GridF& p1,
-            GridF& p2) const override;
+            const layout::Assignment& assignment,
+            std::vector<GridF>& fields) const override;
 
  private:
   std::uint64_t compute_version() const;  ///< caller holds mutex_

@@ -43,16 +43,20 @@ layout::Layout test_layout(std::uint64_t seed = 9) {
   return gen.generate(seed);
 }
 
-// A deterministic fake predictor with a recorded call count.
+// A deterministic fake predictor with a recorded per-item call count.
 class CountingPredictor : public PrintabilityPredictor {
  public:
-  double score(const layout::Layout& /*layout*/,
-               const layout::Assignment& assignment) override {
-    ++calls;
-    // Prefer balanced assignments: |#mask1 - #mask2| as the score.
-    int ones = 0;
-    for (int v : assignment) ones += v;
-    return std::abs(static_cast<int>(assignment.size()) - 2 * ones);
+  std::vector<double> score(const std::vector<ScoringItem>& items) override {
+    std::vector<double> scores;
+    for (const ScoringItem& item : items) {
+      ++calls;
+      // Prefer balanced assignments: |#mask1 - #mask2| as the score.
+      int ones = 0;
+      for (int v : *item.assignment) ones += v;
+      scores.push_back(
+          std::abs(static_cast<int>(item.assignment->size()) - 2 * ones));
+    }
+    return scores;
   }
   std::string name() const override { return "counting"; }
   int calls = 0;
@@ -64,7 +68,8 @@ TEST(Predictors, RawPrintRanksConflictSplitBetter) {
   l.add_pattern(geometry::Rect::from_size({412, 480}, 65, 65));
   l.add_pattern(geometry::Rect::from_size({547, 480}, 65, 65));  // 70nm gap
   RawPrintPredictor predictor(shared_simulator());
-  EXPECT_LT(predictor.score(l, {0, 1}), predictor.score(l, {0, 0}));
+  EXPECT_LT(predictor.score_batch(l, {{0, 1}}).front(),
+            predictor.score_batch(l, {{0, 0}}).front());
 }
 
 TEST(Predictors, IltOracleMatchesDirectOptimization) {
@@ -73,7 +78,7 @@ TEST(Predictors, IltOracleMatchesDirectOptimization) {
   IltOraclePredictor oracle(engine);
   layout::Assignment alt(static_cast<std::size_t>(l.pattern_count()), 0);
   for (int i = 0; i < l.pattern_count(); ++i) alt[static_cast<std::size_t>(i)] = i % 2;
-  const double via_predictor = oracle.score(l, alt);
+  const double via_predictor = oracle.score_batch(l, {alt}).front();
   const double direct = engine.optimize(l, alt).report.score();
   EXPECT_DOUBLE_EQ(via_predictor, direct);
 }
@@ -85,15 +90,15 @@ TEST(Predictors, CnnPredictorScoresAndSerializes) {
   CnnPredictor predictor(std::make_unique<nn::ResNetRegressor>(ncfg));
   const layout::Layout l = test_layout();
   layout::Assignment a(static_cast<std::size_t>(l.pattern_count()), 0);
-  const double s1 = predictor.score(l, a);
-  const double s2 = predictor.score(l, a);
+  const double s1 = predictor.score_batch(l, {a}).front();
+  const double s2 = predictor.score_batch(l, {a}).front();
   EXPECT_DOUBLE_EQ(s1, s2);  // eval mode is deterministic
 
   const std::string path = "test_core_predictor.bin";
   predictor.save(path);
   CnnPredictor other(std::make_unique<nn::ResNetRegressor>(ncfg));
   other.load(path);
-  EXPECT_DOUBLE_EQ(other.score(l, a), s1);
+  EXPECT_DOUBLE_EQ(other.score_batch(l, {a}).front(), s1);
   std::remove(path.c_str());
 }
 
@@ -134,7 +139,7 @@ TEST(LdmoFlowTest, FallbackBoundedByConfig) {
 // the shape of a real backend bug, untagged by any FlowException.
 class BrokenPredictor : public PrintabilityPredictor {
  public:
-  double score(const layout::Layout&, const layout::Assignment&) override {
+  std::vector<double> score(const std::vector<ScoringItem>&) override {
     throw std::runtime_error("scoring backend down");
   }
   std::string name() const override { return "broken"; }
@@ -183,9 +188,11 @@ TEST(LdmoFlowTest, OraclePredictorBeatsAdversarialOracle) {
   class Negated : public PrintabilityPredictor {
    public:
     explicit Negated(PrintabilityPredictor& inner) : inner_(inner) {}
-    double score(const layout::Layout& l,
-                 const layout::Assignment& a) override {
-      return -inner_.score(l, a);
+    std::vector<double> score(
+        const std::vector<ScoringItem>& items) override {
+      std::vector<double> scores = inner_.score(items);
+      for (double& s : scores) s = -s;
+      return scores;
     }
     std::string name() const override { return "negated"; }
 

@@ -60,8 +60,9 @@ layout::Layout test_layout(std::uint64_t seed) {
 /// a litho failpoint target the ILT phase instead of raw-print scoring.
 class ConstantPredictor : public core::PrintabilityPredictor {
  public:
-  double score(const layout::Layout&, const layout::Assignment&) override {
-    return 0.0;
+  std::vector<double> score(
+      const std::vector<core::ScoringItem>& items) override {
+    return std::vector<double>(items.size(), 0.0);
   }
   std::string name() const override { return "constant"; }
 };
@@ -70,7 +71,7 @@ class ConstantPredictor : public core::PrintabilityPredictor {
 /// the shape of a real bug in a model backend, not a tagged FlowException.
 class ThrowingPredictor : public core::PrintabilityPredictor {
  public:
-  double score(const layout::Layout&, const layout::Assignment&) override {
+  std::vector<double> score(const std::vector<core::ScoringItem>&) override {
     throw std::runtime_error("backend exploded");
   }
   std::string name() const override { return "throwing"; }

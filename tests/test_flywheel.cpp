@@ -373,7 +373,7 @@ TEST_F(FlywheelTest, ServerCapturesFreshOkRunsOnly) {
 /// (generation-order candidate ranking) instead of failing it.
 class ThrowingPredictor : public core::PrintabilityPredictor {
  public:
-  double score(const layout::Layout&, const layout::Assignment&) override {
+  std::vector<double> score(const std::vector<core::ScoringItem>&) override {
     throw std::runtime_error("backend exploded");
   }
   std::string name() const override { return "throwing"; }
@@ -406,8 +406,9 @@ TEST_F(FlywheelTest, DegradedResultsAreNeverCaptured) {
 /// Constant scorer with a distinct name, for swap-identity assertions.
 class ConstantPredictor : public core::PrintabilityPredictor {
  public:
-  double score(const layout::Layout&, const layout::Assignment&) override {
-    return 0.0;
+  std::vector<double> score(
+      const std::vector<core::ScoringItem>& items) override {
+    return std::vector<double>(items.size(), 0.0);
   }
   std::string name() const override { return "constant"; }
 };

@@ -27,6 +27,7 @@
 #include "runtime/parallel_for.h"
 #include "runtime/task_queue.h"
 #include "runtime/thread_pool.h"
+#include "sampling/training_set.h"
 
 namespace ldmo::runtime {
 namespace {
@@ -443,12 +444,6 @@ TEST(DeterminismTest, ThreeMaskIltBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(DeterminismTest, ScoreBatchMatchesSerialScoreLoop) {
-  litho::LithoConfig lcfg;
-  lcfg.grid_size = 64;
-  lcfg.pixel_nm = 16.0;
-  lcfg.kernel_count = 4;
-  const litho::LithoSimulator simulator(lcfg);
-
   nn::ResNetConfig ncfg;
   ncfg.input_size = 32;
   ncfg.width_multiplier = 0.125;
@@ -465,9 +460,12 @@ TEST(DeterminismTest, ScoreBatchMatchesSerialScoreLoop) {
     candidates.push_back(std::move(a));
   }
 
+  // Independent oracle: the network's single-image path, one candidate at
+  // a time, outside any batch.
   std::vector<double> looped;
   for (const layout::Assignment& a : candidates)
-    looped.push_back(predictor.score(layout, a));
+    looped.push_back(predictor.network().predict_one(
+        sampling::decomposition_tensor(layout, a, ncfg.input_size)));
   ScopedThreads threads(4);
   const std::vector<double> batched =
       predictor.score_batch(layout, candidates);

@@ -52,6 +52,16 @@ layout::Layout test_layout(std::uint64_t seed) {
   return layout::LayoutGenerator().generate(seed);
 }
 
+/// The scoring items of every candidate of one layout, in order.
+std::vector<core::ScoringItem> items_of(
+    const layout::Layout& layout,
+    const std::vector<layout::Assignment>& candidates) {
+  std::vector<core::ScoringItem> items;
+  for (const layout::Assignment& a : candidates)
+    items.push_back({&layout, &a});
+  return items;
+}
+
 // --- cancellation tokens: deadlines and linking ---
 
 TEST(Cancellation, DefaultTokenNeverCancelled) {
@@ -247,8 +257,8 @@ TEST(Batcher, ConcurrentScoresMatchSoloExactly) {
   for (int j = 0; j < kJobs; ++j)
     threads.emplace_back([&, j] {
       actual[static_cast<std::size_t>(j)] = batcher.score(
-          layouts[static_cast<std::size_t>(j)],
-          candidates[static_cast<std::size_t>(j)]);
+          items_of(layouts[static_cast<std::size_t>(j)],
+                   candidates[static_cast<std::size_t>(j)]));
     });
   for (std::thread& t : threads) t.join();
 
@@ -276,28 +286,99 @@ TEST(Batcher, CnnMultiJobFlushMatchesPerJobExactly) {
     candidates.push_back(
         mpl::generate_decompositions(layouts.back()).candidates);
   }
-  std::vector<core::ScoringJob> jobs;
-  for (std::size_t j = 0; j < layouts.size(); ++j)
-    jobs.push_back({&layouts[j], &candidates[j]});
+  std::vector<core::ScoringItem> items;
+  for (std::size_t j = 0; j < layouts.size(); ++j) {
+    const std::vector<core::ScoringItem> job =
+        items_of(layouts[j], candidates[j]);
+    items.insert(items.end(), job.begin(), job.end());
+  }
 
-  const std::vector<std::vector<double>> multi = cnn.score_batch_multi(jobs);
-  ASSERT_EQ(multi.size(), layouts.size());
-  for (std::size_t j = 0; j < layouts.size(); ++j)
-    EXPECT_EQ(multi[j], cnn.score_batch(layouts[j], candidates[j]))
+  const std::vector<double> multi = cnn.score(items);
+  ASSERT_EQ(multi.size(), items.size());
+  auto first = multi.begin();
+  for (std::size_t j = 0; j < layouts.size(); ++j) {
+    const auto last =
+        first + static_cast<std::ptrdiff_t>(candidates[j].size());
+    EXPECT_EQ(std::vector<double>(first, last),
+              cnn.score_batch(layouts[j], candidates[j]))
         << "job " << j;
+    first = last;
+  }
 }
 
-TEST(Batcher, DisabledBatcherStillSerializesAndMatches) {
-  const litho::LithoSimulator simulator(fast_litho());
-  core::RawPrintPredictor solo(simulator);
-  core::RawPrintPredictor shared(simulator);
-  BatcherConfig cfg;
-  cfg.enabled = false;
-  InferenceBatcher batcher(shared, cfg);
-  const layout::Layout l = test_layout(24);
-  const std::vector<layout::Assignment> cands =
-      mpl::generate_decompositions(l).candidates;
-  EXPECT_EQ(batcher.score(l, cands), solo.score_batch(l, cands));
+/// Records how many score() calls are in flight at once. Each item's score
+/// is a pure function of its layout and assignment, so callers can check
+/// they got exactly their own scores back.
+class InFlightRecordingBackend : public core::PrintabilityPredictor {
+ public:
+  static double expected(const layout::Layout& layout,
+                         const layout::Assignment& a) {
+    double score = static_cast<double>(layout::fingerprint(layout) % 100003);
+    for (std::size_t i = 0; i < a.size(); ++i)
+      score += static_cast<double>((a[i] + 1) * (i + 1)) * 1e-3;
+    return score;
+  }
+  std::vector<double> score(
+      const std::vector<core::ScoringItem>& items) override {
+    const int now = in_flight.fetch_add(1) + 1;
+    int seen = max_in_flight.load();
+    while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+    }
+    // Longer than the 2 ms default flush timeout: a second leader's
+    // deadline lapses while this call is still inside the backend.
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    std::vector<double> scores;
+    for (const core::ScoringItem& item : items)
+      scores.push_back(expected(*item.layout, *item.assignment));
+    in_flight.fetch_sub(1);
+    return scores;
+  }
+  std::string name() const override { return "in-flight-recording"; }
+
+  std::atomic<int> in_flight{0};
+  std::atomic<int> max_in_flight{0};
+};
+
+// batcher.h promises backends need not be thread-safe: however callers
+// coalesce, at most one flush is inside the backend at a time.
+TEST(Batcher, BackendIsNeverEnteredConcurrently) {
+  InFlightRecordingBackend backend;
+  InferenceBatcher batcher(backend, {});
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 4;
+  std::vector<layout::Layout> layouts;
+  for (int t = 0; t < kThreads; ++t)
+    layouts.push_back(test_layout(60 + static_cast<std::uint64_t>(t)));
+
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      const layout::Layout& l = layouts[static_cast<std::size_t>(t)];
+      const std::size_t patterns =
+          static_cast<std::size_t>(l.pattern_count());
+      for (int c = 0; c < kCalls; ++c) {
+        // 1..7 candidates per call, so joiners' slices differ in size.
+        std::vector<layout::Assignment> cands(
+            static_cast<std::size_t>(1 + (t + 3 * c) % 7),
+            layout::Assignment(patterns, 0));
+        for (std::size_t k = 0; k < cands.size(); ++k)
+          for (std::size_t i = 0; i < patterns; ++i)
+            cands[k][i] = static_cast<int>((i + k + c) % 2);
+        const std::vector<double> got = batcher.score(items_of(l, cands));
+        if (got.size() != cands.size()) {
+          mismatches.fetch_add(1);
+          continue;
+        }
+        for (std::size_t k = 0; k < cands.size(); ++k)
+          if (got[k] != InFlightRecordingBackend::expected(l, cands[k]))
+            mismatches.fetch_add(1);
+      }
+    });
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(backend.max_in_flight.load(), 1);
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(BatchingPredictor, ScoreCacheHitsAreExact) {
@@ -309,9 +390,9 @@ TEST(BatchingPredictor, ScoreCacheHitsAreExact) {
   cache_cfg.metric_prefix = "test.score_cache";
   ShardedLruCache<double> cache(cache_cfg,
                                 [](const double&) { return 8u; });
-  BatchingPredictor predictor(
-      batcher, &cache,
-      config_fingerprint(fast_engine_config(), shared.name()));
+  const std::atomic<std::uint64_t> fp{
+      config_fingerprint(fast_engine_config(), shared.name())};
+  BatchingPredictor predictor(batcher, &cache, fp);
 
   const layout::Layout l = test_layout(25);
   const std::vector<layout::Assignment> cands =
@@ -519,7 +600,7 @@ TEST(Server, MultiProducerConcurrencySmoke) {
 // A scoring backend that throws plain std::runtime_error on every call.
 class AlwaysThrowingBackend : public core::PrintabilityPredictor {
  public:
-  double score(const layout::Layout&, const layout::Assignment&) override {
+  std::vector<double> score(const std::vector<core::ScoringItem>&) override {
     throw std::runtime_error("backend down");
   }
   std::string name() const override { return "always-throwing"; }

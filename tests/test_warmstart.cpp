@@ -259,19 +259,19 @@ TEST(MaskWarmStartModel, SeedFillsGridsDeterministically) {
   cfg.base_width = 2;
   MaskWarmStart warm(cfg);
 
-  GridF p1, p2;
-  warm.seed(layout, assignment, p1, p2);
-  ASSERT_EQ(p1.height(), 32);
-  ASSERT_EQ(p1.width(), 32);
-  ASSERT_EQ(p2.height(), 32);
-  ASSERT_EQ(p2.width(), 32);
-  GridF q1, q2;
-  warm.seed(layout, assignment, q1, q2);
-  EXPECT_EQ(p1, q1);
-  EXPECT_EQ(p2, q2);
+  std::vector<GridF> p(2);
+  warm.seed(layout, assignment, p);
+  ASSERT_EQ(p[0].height(), 32);
+  ASSERT_EQ(p[0].width(), 32);
+  ASSERT_EQ(p[1].height(), 32);
+  ASSERT_EQ(p[1].width(), 32);
+  std::vector<GridF> q(2);
+  warm.seed(layout, assignment, q);
+  EXPECT_EQ(p[0], q[0]);
+  EXPECT_EQ(p[1], q[1]);
   // An untrained net is dominated by the cold-init residual, so the two
   // seeds reflect the two (different) decomposition rasters.
-  EXPECT_NE(p1, p2);
+  EXPECT_NE(p[0], p[1]);
 }
 
 // The paper-faithful guarantee: with warm_start.enabled == false, an
@@ -341,6 +341,32 @@ TEST(WarmStartFlow, PredictFailpointDegradesToColdInit) {
   ASSERT_FALSE(seeded.failed);
   EXPECT_TRUE(seeded.warm_started);
   EXPECT_LE(seeded.ilt.iterations_run, 6);
+}
+
+// MaskNet seeds two masks. On a k = 3 engine every seed attempt throws a
+// kPredict FlowException, and each attempt degrades to the cold init
+// instead of handing the engine a wrong number of seed fields.
+TEST(WarmStartFlow, ThreeMaskEngineFallsBackToColdInit) {
+  const litho::LithoSimulator simulator(tiny_litho());
+  core::RawPrintPredictor predictor(simulator);
+  core::LdmoConfig cfg;
+  cfg.ilt.max_iterations = 12;
+  cfg.warm_start.enabled = true;
+  cfg.warm_start.max_iterations = 6;
+  MaskNetConfig net_cfg;
+  net_cfg.grid_size = 32;
+  net_cfg.base_width = 2;
+  const MaskWarmStart warm(net_cfg);
+  const layout::Layout layout = layout::LayoutGenerator().generate(555);
+
+  const long long errors_before =
+      obs::counter("warmstart.predict_errors").value();
+  const core::LdmoResult result = core::run_ldmo_flow(
+      opc::IltEngine(simulator, cfg.ilt, 3), predictor, cfg, layout, {},
+      &warm);
+  EXPECT_FALSE(result.failed) << result.error.message;
+  EXPECT_FALSE(result.warm_started);
+  EXPECT_GT(obs::counter("warmstart.predict_errors").value(), errors_before);
 }
 
 // Tiny end-to-end fixture: harvest 8 clips, train a short-budget model,
