@@ -1100,6 +1100,82 @@ int cmd_flywheel_train(int argc, char** argv) {
   return round.promoted ? 0 : 1;
 }
 
+// One accepted flag of a verb; a value flag consumes the next argument.
+struct FlagSpec {
+  const char* name;
+  bool takes_value = true;
+};
+
+// Flags every verb accepts. --threads and --backend are applied (and
+// removed from argv) before dispatch, --log-level right after the check.
+const FlagSpec kCommonFlags[] = {{"--threads"}, {"--backend"},
+                                 {"--log-level"}};
+
+struct Verb {
+  const char* name;
+  int (*run)(int argc, char** argv);
+  std::vector<FlagSpec> flags;
+};
+
+const std::vector<Verb>& verbs() {
+  static const std::vector<Verb> table = {
+      {"generate", cmd_generate, {{"--seed"}, {"--out"}}},
+      {"inspect", cmd_inspect, {}},
+      {"run", cmd_run,
+       {{"--flow"}, {"--report"}, {"--warm-start"}, {"--warm-iters"},
+        {"--warm-width"}}},
+      {"validate-report", cmd_validate_report, {}},
+      {"warmstart-harvest", cmd_warmstart_harvest,
+       {{"--out"}, {"--clips"}, {"--seed0"}, {"--sampling", false},
+        {"--oversample"}}},
+      {"warmstart-train", cmd_warmstart_train,
+       {{"--corpus"}, {"--out"}, {"--epochs"}, {"--batch"}, {"--lr"},
+        {"--width"}}},
+      {"serve-bench", cmd_serve_bench,
+       {{"--requests"}, {"--unique"}, {"--clients"}, {"--dispatchers"},
+        {"--deadline-ms"}, {"--no-cache", false}, {"--report"},
+        {"--inject", false}, {"--inject-prob"}, {"--inject-seed"},
+        {"--admin-port"}, {"--admin-linger-ms"}, {"--net-workers"}}},
+      {"serve", cmd_serve,
+       {{"--listen"}, {"--dispatchers"}, {"--grid"}, {"--pixel"},
+        {"--weights"}, {"--snapshot"}, {"--warm-start"}, {"--warm-iters"},
+        {"--warm-width"}, {"--flywheel"}, {"--flywheel-min-new"},
+        {"--flywheel-sample"}, {"--flywheel-poll-ms"},
+        {"--flywheel-epochs"}, {"--admin-port"}}},
+      {"route", cmd_route, {{"--workers"}, {"--listen"}, {"--admin-port"}}},
+      {"net-submit", cmd_net_submit, {{"--port"}, {"--deadline-ms"}}},
+      {"net-stats", cmd_net_stats, {{"--port"}}},
+      {"swap-weights", cmd_swap_weights,
+       {{"--port"}, {"--weights"}, {"--version"}, {"--warm-start"}}},
+      {"flywheel-stats", cmd_flywheel_stats, {{"--log"}}},
+      {"flywheel-train", cmd_flywheel_train,
+       {{"--log"}, {"--out"}, {"--weights"}, {"--min-new"}, {"--epochs"},
+        {"--batch"}, {"--lr"}}},
+  };
+  return table;
+}
+
+const FlagSpec* find_flag(const Verb& verb, const char* arg) {
+  for (const FlagSpec& f : verb.flags)
+    if (std::strcmp(f.name, arg) == 0) return &f;
+  for (const FlagSpec& f : kCommonFlags)
+    if (std::strcmp(f.name, arg) == 0) return &f;
+  return nullptr;
+}
+
+// Throws on the first --flag the verb does not accept, so a mistyped or
+// retired flag stops the command before it does any work.
+void check_flags(const Verb& verb, int argc, char** argv) {
+  for (int i = 2; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const FlagSpec* flag = find_flag(verb, argv[i]);
+    if (!flag)
+      throw std::runtime_error(std::string("unknown flag '") + argv[i] +
+                               "' for '" + verb.name + "'");
+    if (flag->takes_value) ++i;
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1107,30 +1183,12 @@ int main(int argc, char** argv) {
   try {
     runtime::apply_threads_flag(argc, argv);
     kernels::apply_backend_flag(argc, argv);
-    apply_log_level_flag(argc, argv);
-    if (std::strcmp(argv[1], "generate") == 0) return cmd_generate(argc, argv);
-    if (std::strcmp(argv[1], "inspect") == 0) return cmd_inspect(argc, argv);
-    if (std::strcmp(argv[1], "run") == 0) return cmd_run(argc, argv);
-    if (std::strcmp(argv[1], "validate-report") == 0)
-      return cmd_validate_report(argc, argv);
-    if (std::strcmp(argv[1], "warmstart-harvest") == 0)
-      return cmd_warmstart_harvest(argc, argv);
-    if (std::strcmp(argv[1], "warmstart-train") == 0)
-      return cmd_warmstart_train(argc, argv);
-    if (std::strcmp(argv[1], "serve-bench") == 0)
-      return cmd_serve_bench(argc, argv);
-    if (std::strcmp(argv[1], "serve") == 0) return cmd_serve(argc, argv);
-    if (std::strcmp(argv[1], "route") == 0) return cmd_route(argc, argv);
-    if (std::strcmp(argv[1], "net-submit") == 0)
-      return cmd_net_submit(argc, argv);
-    if (std::strcmp(argv[1], "net-stats") == 0)
-      return cmd_net_stats(argc, argv);
-    if (std::strcmp(argv[1], "swap-weights") == 0)
-      return cmd_swap_weights(argc, argv);
-    if (std::strcmp(argv[1], "flywheel-stats") == 0)
-      return cmd_flywheel_stats(argc, argv);
-    if (std::strcmp(argv[1], "flywheel-train") == 0)
-      return cmd_flywheel_train(argc, argv);
+    for (const Verb& verb : verbs()) {
+      if (std::strcmp(argv[1], verb.name) != 0) continue;
+      check_flags(verb, argc, argv);
+      apply_log_level_flag(argc, argv);
+      return verb.run(argc, argv);
+    }
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;

@@ -89,25 +89,42 @@ void FftPlan::inverse(Complex* data) const {
                                      static_cast<std::size_t>(size_));
 }
 
+namespace {
+
+// The index runs [0, lo_end) and [hi_begin, n) that a band keeps in an
+// n-point dimension: [0, b] and [n - b, n), or all of [0, n) when the band
+// covers the dimension (2b + 1 >= n).
+struct BandRuns {
+  int lo_end;
+  int hi_begin;
+};
+
+BandRuns band_runs(int n, int band) {
+  require(band >= 0, "Fft2DPlan: band must be >= 0");
+  if (band >= n / 2) return {n, n};
+  return {band + 1, n - band};
+}
+
+}  // namespace
+
 Fft2DPlan::Fft2DPlan(int height, int width)
     : height_(height), width_(width), row_plan_(width), col_plan_(height) {}
 
-void Fft2DPlan::transform_rows(Complex* data, bool inverse) const {
-  for (int y = 0; y < height_; ++y) {
+void Fft2DPlan::transform_rows(Complex* data, bool inverse, int band) const {
+  const BandRuns rows = band_runs(height_, band);
+  auto transform = [&](int y) {
     Complex* row = data + static_cast<std::size_t>(y) * width_;
     if (inverse)
       row_plan_.inverse(row);
     else
       row_plan_.forward(row);
-  }
+  };
+  for (int y = 0; y < rows.lo_end; ++y) transform(y);
+  for (int y = rows.hi_begin; y < height_; ++y) transform(y);
 }
 
-void Fft2DPlan::transform_cols(Complex* data, bool inverse) const {
-  transform_cols_range(data, 0, width_, inverse);
-}
-
-void Fft2DPlan::transform_cols_range(Complex* data, int x_begin, int x_end,
-                                     bool inverse) const {
+void Fft2DPlan::transform_cols(Complex* data, int x_begin, int x_end,
+                               bool inverse) const {
   // Blocked gather/scatter: kColBlock columns move through pooled scratch
   // together, so the row-major walk touches each grid cache line once per
   // block instead of once per column. The per-column butterflies are
@@ -139,42 +156,49 @@ void Fft2DPlan::transform_cols_range(Complex* data, int x_begin, int x_end,
   }
 }
 
-void Fft2DPlan::forward(GridC& grid) const {
+void Fft2DPlan::forward(GridC& grid, int band) const {
   require(grid.height() == height_ && grid.width() == width_,
           "Fft2DPlan::forward: shape mismatch");
-  forward(grid.data());
+  forward(grid.data(), band);
 }
 
-void Fft2DPlan::inverse(GridC& grid) const {
+void Fft2DPlan::inverse(GridC& grid, int band) const {
   require(grid.height() == height_ && grid.width() == width_,
           "Fft2DPlan::inverse: shape mismatch");
-  inverse(grid.data());
+  inverse(grid.data(), band);
 }
 
-void Fft2DPlan::forward(Complex* data) const {
-  transform_rows(data, false);
-  transform_cols(data, false);
+void Fft2DPlan::forward(Complex* data, int band) const {
+  // Every row, then only the in-band columns: a column FFT reads nothing
+  // but its own column, so the kept columns are exact.
+  transform_rows(data, false, kFullBand);
+  const BandRuns cols = band_runs(width_, band);
+  transform_cols(data, 0, cols.lo_end, false);
+  transform_cols(data, cols.hi_begin, width_, false);
 }
 
-void Fft2DPlan::inverse(Complex* data) const {
-  transform_rows(data, true);
-  transform_cols(data, true);
+void Fft2DPlan::inverse(Complex* data, int band) const {
+  // Out-of-band rows are zero and would transform to zero, so only the
+  // in-band rows run before the full column pass.
+  transform_rows(data, true, band);
+  transform_cols(data, 0, width_, true);
 }
 
-void Fft2DPlan::forward_real(const GridF& src, GridC& out) const {
+void Fft2DPlan::forward_real(const GridF& src, GridC& out, int band) const {
   require(src.height() == height_ && src.width() == width_,
           "Fft2DPlan::forward_real: shape mismatch");
   out.resize(height_, width_);
-  forward_real(src.data(), out.data());
+  forward_real(src.data(), out.data(), band);
 }
 
-void Fft2DPlan::forward_real(const double* src, Complex* out) const {
+void Fft2DPlan::forward_real(const double* src, Complex* out,
+                             int band) const {
   const std::size_t cells =
       static_cast<std::size_t>(height_) * static_cast<std::size_t>(width_);
   if (height_ < 2) {
     // Degenerate single-row grid: no pairing possible.
     for (std::size_t i = 0; i < cells; ++i) out[i] = Complex(src[i], 0.0);
-    forward(out);
+    forward(out, band);
     return;
   }
   // Row stage: pack rows (y, y+1) as re + i*im, one FFT per pair, then
@@ -213,28 +237,17 @@ void Fft2DPlan::forward_real(const double* src, Complex* out) const {
   }
   // Column stage: every row above is the spectrum of a real row, so
   // column W-u is the conjugate mirror of column u. Transform only
-  // [0, W/2] and reconstruct the rest via
-  // F(v, W-u) = conj(F((H-v) mod H, u)).
-  transform_cols_range(out, 0, half_w + 1, false);
-  for (int u = 1; u < half_w; ++u) {
+  // [0, last] (last = W/2 at full band) and reconstruct the mirrored
+  // columns via F(v, W-u) = conj(F((H-v) mod H, u)).
+  const int last = std::min(band_runs(w, band).lo_end - 1, half_w);
+  transform_cols(out, 0, last + 1, false);
+  for (int u = 1; u <= std::min(last, half_w - 1); ++u) {
     const int uc = w - u;
     out[uc] = std::conj(out[u]);
     for (int v = 1; v < height_; ++v)
       out[static_cast<std::size_t>(v) * w + uc] = std::conj(
           out[static_cast<std::size_t>(height_ - v) * w + u]);
   }
-}
-
-void Fft2DPlan::convolve_spectrum(const GridC& spectrum,
-                                  const GridC& kernel_freq,
-                                  GridC& out) const {
-  require(spectrum.height() == height_ && spectrum.width() == width_ &&
-              spectrum.same_shape(kernel_freq),
-          "convolve_spectrum: shape mismatch");
-  out.resize(height_, width_);  // reuses out's storage when it fits
-  kernels::table().cmul_to_f64(spectrum.data(), kernel_freq.data(),
-                               out.data(), spectrum.size());
-  inverse(out);
 }
 
 const Fft2DPlan& plan_for(int height, int width) {

@@ -6,9 +6,20 @@
 // frequency-domain products. Plans precompute bit-reversal tables and
 // twiddle factors once per size, since the same 2-D shape is transformed
 // thousands of times per ILT run.
+//
+// Band-limited transforms: every SOCS kernel spectrum is zero outside a
+// small box of low frequencies, so the 2-D transforms take an optional
+// band b. The band keeps the bins (v, u) whose wrapped frequencies satisfy
+// |v| <= b and |u| <= b, i.e. rows and columns [0, b] and [N - b, N). Rows
+// are transformed before columns in both directions, so an inverse skips
+// the row FFTs of rows that are zero, and a forward skips the column FFTs
+// of columns nobody reads; the bins the band keeps come out bit-identical
+// to the full transform. A band that covers a dimension (2b + 1 >= N)
+// transforms it in full; kFullBand, the default, is a full transform.
 #pragma once
 
 #include <complex>
+#include <limits>
 #include <vector>
 
 #include "common/grid.h"
@@ -23,6 +34,9 @@ int next_pow2(int n);
 
 /// True if n is a power of two (n >= 1).
 bool is_pow2(int n);
+
+/// Band argument of a full 2-D transform (every bin in band).
+inline constexpr int kFullBand = std::numeric_limits<int>::max();
 
 /// Precomputed plan for 1-D transforms of a fixed power-of-two size.
 class FftPlan {
@@ -62,41 +76,40 @@ class Fft2DPlan {
   int height() const { return height_; }
   int width() const { return width_; }
 
-  /// In-place 2-D forward DFT of a row-major grid.
-  void forward(GridC& grid) const;
+  /// In-place 2-D forward DFT of a row-major grid. With a band, only the
+  /// in-band bins are specified afterwards (the column FFTs outside the
+  /// band are skipped); every other bin holds unspecified values.
+  void forward(GridC& grid, int band = kFullBand) const;
 
-  /// In-place 2-D inverse DFT (scaled by 1/(H*W)).
-  void inverse(GridC& grid) const;
+  /// In-place 2-D inverse DFT (scaled by 1/(H*W)). With a band, the input
+  /// must be zero on every bin outside it (the row FFTs of out-of-band
+  /// rows are skipped); the whole output is specified.
+  void inverse(GridC& grid, int band = kFullBand) const;
 
   /// Raw-pointer variants over row-major height()*width() storage — used
   /// by callers that transform slices of one flat pooled buffer.
-  void forward(Complex* data) const;
-  void inverse(Complex* data) const;
+  void forward(Complex* data, int band = kFullBand) const;
+  void inverse(Complex* data, int band = kFullBand) const;
 
   /// 2-D forward DFT of a REAL grid (masks, resist targets): packs row
   /// pairs as re+i*im so each row FFT transforms two rows at once, then
-  /// transforms only columns [0, W/2] and reconstructs the rest from the
-  /// Hermitian symmetry F(v, W-u) = conj(F((H-v) mod H, u)) — just under
-  /// half the butterfly work of forward(to_complex(src)). The spectrum is
-  /// mathematically identical; rounding differs at the ~1 ulp level
-  /// because the pack/unpack reassociates row-transform arithmetic.
-  void forward_real(const GridF& src, GridC& out) const;
-  void forward_real(const double* src, Complex* out) const;
-
-  /// Frequency-domain convolution into a caller buffer:
-  /// out = IFFT(spectrum .* kernel_freq). `out` is reshaped if needed and
-  /// fully overwritten — at steady state (same shape every call) this
-  /// performs no allocation. `out` must not alias either input.
-  void convolve_spectrum(const GridC& spectrum, const GridC& kernel_freq,
-                         GridC& out) const;
+  /// transforms only columns [0, min(b, W/2)] and reconstructs their
+  /// mirrors from the Hermitian symmetry F(v, W-u) = conj(F((H-v) mod H, u))
+  /// — just under half the butterfly work of forward(to_complex(src)) at
+  /// full band. As with forward(), only in-band bins are specified under
+  /// a band. The spectrum is mathematically identical to the complex
+  /// forward; rounding differs at the ~1 ulp level because the pack/unpack
+  /// reassociates row-transform arithmetic.
+  void forward_real(const GridF& src, GridC& out, int band = kFullBand) const;
+  void forward_real(const double* src, Complex* out,
+                    int band = kFullBand) const;
 
  private:
-  void transform_rows(Complex* data, bool inverse) const;
-  void transform_cols(Complex* data, bool inverse) const;
-  /// Column FFTs restricted to columns [x_begin, x_end) — the Hermitian
-  /// real-input path only transforms the non-redundant half.
-  void transform_cols_range(Complex* data, int x_begin, int x_end,
-                            bool inverse) const;
+  /// Row FFTs of the rows a band keeps (every row at kFullBand).
+  void transform_rows(Complex* data, bool inverse, int band) const;
+  /// Column FFTs restricted to columns [x_begin, x_end).
+  void transform_cols(Complex* data, int x_begin, int x_end,
+                      bool inverse) const;
 
   int height_;
   int width_;

@@ -7,6 +7,12 @@
 // state. The per-kernel complex fields E_k = M conv h_k can be retained
 // in caller-owned AerialFields storage for the ILT gradient, which reuses
 // them to avoid recomputing the forward pass.
+//
+// Every FFT runs at the kernels' band (SocsKernels::band): the mask
+// spectrum and the adjoint's per-kernel spectra are computed only on the
+// in-band bins, the spectrum products touch only the band box, and the
+// inverses skip the out-of-band rows. Outputs are bit-identical to full
+// transforms, since the skipped work only ever met zero kernel bins.
 #pragma once
 
 #include <vector>

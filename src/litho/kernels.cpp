@@ -1,5 +1,7 @@
 #include "litho/kernels.h"
 
+#include <algorithm>
+#include <cstdlib>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -27,6 +29,9 @@ SocsKernels decompose(const LithoConfig& config) {
   SocsKernels kernels;
   kernels.config = config;
   const int n = config.grid_size;
+  kernels.band = 0;
+  for (const auto& [kx, ky] : tcc.support)
+    kernels.band = std::max({kernels.band, std::abs(kx), std::abs(ky)});
   const int keep = std::min(config.kernel_count, dim);
   double captured = 0.0;
   for (int k = 0; k < keep; ++k) {

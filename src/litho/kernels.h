@@ -5,7 +5,10 @@
 //     I(x) = sum_k w_k |(M conv h_k)(x)|^2
 // where (w_k, h_k) are the leading TCC eigenpairs. Kernels are stored as
 // frequency-domain grids on the simulation FFT lattice, so one mask FFT
-// plus K inverse FFTs evaluate the full forward model.
+// plus K inverse FFTs evaluate the full forward model. Every kernel
+// spectrum is zero outside the TCC band |f| <= (1 + sigma_out) NA / lambda,
+// which is a few bins wide (+-6 on the 1024 nm field), so those FFTs run
+// band-limited: they skip the rows and columns the band never reaches.
 //
 // Calibration: weights are rescaled once so a large feature's edge intensity
 // equals the resist threshold I_th — then big patterns print on target by
@@ -27,6 +30,11 @@ struct SocsKernels {
   std::vector<fft::GridC> kernel_ffts;
   /// Corresponding (calibrated) nonnegative weights.
   std::vector<double> weights;
+  /// Band of the kernel spectra: the largest |kx|, |ky| over the TCC
+  /// support, so every kernel is zero outside rows and columns [0, band]
+  /// and [n - band, n). Passed to the band-limited FFTs (see fft.h); the
+  /// default kFullBand runs full transforms.
+  int band = fft::kFullBand;
   /// Spatial L1 norms ||h_k||_1 of the kept kernels (same order as
   /// weights). For masks in [0,1] they bound each field: |E_k| <= ||h_k||_1.
   std::vector<double> kernel_l1_norms;

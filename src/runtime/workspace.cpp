@@ -9,7 +9,8 @@ namespace ldmo::runtime {
 namespace {
 
 // Keeps every thread's workspace alive (and its counters readable) after
-// the thread exits; entries are never removed.
+// the thread exits; entries are never removed. An exited thread's parked
+// buffers are dropped (see Workspace::this_thread), only counters remain.
 struct WorkspaceRegistry {
   std::mutex mu;
   std::vector<std::shared_ptr<Workspace>> all;
@@ -33,14 +34,21 @@ void note_checkout(bool hit) {
 }  // namespace detail
 
 Workspace& Workspace::this_thread() {
-  thread_local std::shared_ptr<Workspace> ws = [] {
+  // The holder's destructor runs on this thread as it exits, the one
+  // thread allowed to touch the free lists: a finished thread (a stopped
+  // server's dispatcher, say) pins no pooled memory.
+  struct Holder {
+    std::shared_ptr<Workspace> ws;
+    ~Holder() { ws->clear(); }
+  };
+  thread_local Holder holder{[] {
     auto w = std::make_shared<Workspace>();
     WorkspaceRegistry& r = ws_registry();
     std::lock_guard<std::mutex> lock(r.mu);
     r.all.push_back(w);
     return w;
-  }();
-  return *ws;
+  }()};
+  return *holder.ws;
 }
 
 WorkspaceStats workspace_stats() {

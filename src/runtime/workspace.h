@@ -379,7 +379,8 @@ class Workspace {
   }
 
   /// The calling thread's workspace. Created on first use and kept alive
-  /// (for stats aggregation) past thread exit.
+  /// (for stats aggregation) past thread exit; its parked buffers are
+  /// dropped when the thread exits.
   static Workspace& this_thread();
 
  private:

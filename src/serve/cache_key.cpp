@@ -1,5 +1,8 @@
 #include "serve/cache_key.h"
 
+#include <cmath>
+#include <utility>
+
 #include "common/hash.h"
 #include "layout/fingerprint.h"
 
@@ -67,10 +70,55 @@ std::uint64_t score_cache_key(std::uint64_t config_fp,
   return h.digest();
 }
 
-std::size_t estimated_bytes(const core::LdmoResult& result) {
-  std::size_t bytes = sizeof(core::LdmoResult);
+namespace {
+
+// Packs `mask` when every pixel is exactly +0.0 or 1.0 (the bit patterns
+// unpacking restores), else leaves it for the entry to keep whole.
+std::optional<PackedMask> pack_mask(const GridF& mask) {
+  PackedMask packed{mask.height(), mask.width(),
+                    std::vector<std::uint64_t>((mask.size() + 63) / 64)};
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    const double v = mask[i];
+    if (v == 1.0)
+      packed.bits[i / 64] |= std::uint64_t{1} << (i % 64);
+    else if (v != 0.0 || std::signbit(v))
+      return std::nullopt;
+  }
+  return packed;
+}
+
+GridF unpack_mask(const PackedMask& packed) {
+  GridF mask(packed.height, packed.width, 0.0);
+  for (std::size_t i = 0; i < mask.size(); ++i)
+    if ((packed.bits[i / 64] >> (i % 64)) & 1u) mask[i] = 1.0;
+  return mask;
+}
+
+}  // namespace
+
+CachedResult pack_result(core::LdmoResult result) {
+  CachedResult cached;
+  cached.mask1 = pack_mask(result.ilt.mask1);
+  cached.mask2 = pack_mask(result.ilt.mask2);
+  if (cached.mask1) result.ilt.mask1 = GridF();
+  if (cached.mask2) result.ilt.mask2 = GridF();
+  cached.result = std::move(result);
+  return cached;
+}
+
+core::LdmoResult unpack_result(CachedResult cached) {
+  if (cached.mask1) cached.result.ilt.mask1 = unpack_mask(*cached.mask1);
+  if (cached.mask2) cached.result.ilt.mask2 = unpack_mask(*cached.mask2);
+  return std::move(cached.result);
+}
+
+std::size_t estimated_bytes(const CachedResult& cached) {
+  const core::LdmoResult& result = cached.result;
+  std::size_t bytes = sizeof(CachedResult);
   bytes += result.ilt.mask1.size() * sizeof(float);
   bytes += result.ilt.mask2.size() * sizeof(float);
+  for (const std::optional<PackedMask>* packed : {&cached.mask1, &cached.mask2})
+    if (*packed) bytes += (*packed)->bits.size() * sizeof(std::uint64_t);
   bytes += result.ilt.response.size() * sizeof(float);
   bytes += result.ilt.trajectory.capacity() *
            sizeof(opc::IltIterationStats);

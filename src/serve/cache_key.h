@@ -18,7 +18,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "core/flow_engine.h"
 #include "layout/layout.h"
@@ -45,8 +47,28 @@ std::uint64_t score_cache_key(std::uint64_t config_fp,
                               std::uint64_t layout_fp,
                               const layout::Assignment& assignment);
 
+/// A binarized mask stored one bit per pixel (row-major, LSB first): a
+/// 64 px mask takes 512 bytes instead of the 32 KiB of its GridF.
+struct PackedMask {
+  int height = 0;
+  int width = 0;
+  std::vector<std::uint64_t> bits;
+};
+
+/// A result-tier entry. The final masks are binarized, so they are kept
+/// packed; a mask holding any value but +0.0 or 1.0 stays in `result`
+/// as is. unpack_result() rebuilds the stored LdmoResult bit for bit.
+struct CachedResult {
+  core::LdmoResult result;  ///< mask1/mask2 empty where packed
+  std::optional<PackedMask> mask1;
+  std::optional<PackedMask> mask2;
+};
+
+CachedResult pack_result(core::LdmoResult result);
+core::LdmoResult unpack_result(CachedResult cached);
+
 /// Approximate resident footprint of a cached result, for the cache's byte
 /// budget (grids dominate; trajectory rows and the report are counted too).
-std::size_t estimated_bytes(const core::LdmoResult& result);
+std::size_t estimated_bytes(const CachedResult& cached);
 
 }  // namespace ldmo::serve

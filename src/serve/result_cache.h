@@ -2,11 +2,12 @@
 // content-addressed result store.
 //
 // Keys are 64-bit content fingerprints (serve/cache_key.h); values are
-// whatever the tier stores: full LdmoResults for the result tier, predicted
-// scores for the score tier. Shard selection mixes the key so one hot
-// layout cannot serialize every lookup; each shard owns an independent
-// mutex, LRU list and slice of the byte budget, and evicts least-recently-
-// used entries until an insertion fits. Values whose own footprint exceeds
+// whatever the tier stores: full LdmoResults (masks bit-packed, see
+// serve::CachedResult) for the result tier, predicted scores for the score
+// tier. Shard selection mixes the key so one hot layout cannot serialize
+// every lookup; each shard owns an independent mutex, LRU list and slice
+// of the byte budget, and evicts least-recently-used entries until an
+// insertion fits. Values whose own footprint exceeds
 // a shard's budget are not cached at all (counted, not fatal) — one huge
 // result must not wipe a whole shard.
 //

@@ -305,9 +305,9 @@ void Server::compute(core::FlowEngine& engine, Pending& pending,
   // against the cache stage).
   try {
     fail::maybe_fail("serve.cache", FlowStage::kCache);
-    if (std::optional<core::LdmoResult> hit = result_cache_.get(key)) {
+    if (std::optional<CachedResult> hit = result_cache_.get(key)) {
       response.status = ServeStatus::kCached;
-      response.result = std::move(*hit);
+      response.result = unpack_result(std::move(*hit));
       span.attr("cached", 1.0);
       return;
     }
@@ -363,7 +363,7 @@ void Server::compute(core::FlowEngine& engine, Pending& pending,
     if (!result.degraded) {
       try {
         fail::maybe_fail("serve.cache", FlowStage::kCache);
-        result_cache_.put(key, result);
+        result_cache_.put(key, pack_result(result));
       } catch (const std::exception& e) {
         record_error({FlowStage::kCache, e.what()}, span);
       }

@@ -81,7 +81,8 @@ struct ServeConfig {
   /// until start(). Deterministic backpressure/priority tests live on this.
   bool start_paused = false;
   BatcherConfig batcher;
-  /// Result tier (full LdmoResults). Disable via result_cache.enabled.
+  /// Result tier (full LdmoResults, binarized masks stored one bit per
+  /// pixel). Disable via result_cache.enabled.
   CacheConfig result_cache;
   /// Score tier (per-candidate predictions, much smaller values).
   CacheConfig score_cache{
@@ -215,7 +216,10 @@ class Server {
   /// swap). Safe during traffic; see ShardedLruCache::export_entries.
   std::vector<std::pair<std::uint64_t, core::LdmoResult>>
   export_result_cache() {
-    return result_cache_.export_entries();
+    std::vector<std::pair<std::uint64_t, core::LdmoResult>> out;
+    for (auto& [key, cached] : result_cache_.export_entries())
+      out.emplace_back(key, unpack_result(std::move(cached)));
+    return out;
   }
 
   /// Result-cache observability for the wire protocol's stats message.
@@ -240,7 +244,7 @@ class Server {
       std::vector<std::pair<std::uint64_t, core::LdmoResult>> entries) {
     if (!result_cache_.enabled()) return 0;
     for (auto& [key, result] : entries)
-      result_cache_.put(key, std::move(result));
+      result_cache_.put(key, pack_result(std::move(result)));
     return entries.size();
   }
 
@@ -291,7 +295,7 @@ class Server {
 
   InferenceBatcher batcher_;
   ShardedLruCache<double> score_cache_;
-  ShardedLruCache<core::LdmoResult> result_cache_;
+  ShardedLruCache<CachedResult> result_cache_;
 
   AdmissionQueue<Pending> queue_;
   std::vector<std::unique_ptr<core::FlowEngine>> engines_;

@@ -1,12 +1,15 @@
 // Unit + property tests for the FFT module: round trips, known transforms,
-// Parseval, linearity, and the convolution theorem.
+// Parseval, linearity, the convolution theorem and band-limited transforms.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.h"
 #include "common/rng.h"
 #include "fft/fft.h"
+#include "kernels/kernels.h"
 
 namespace ldmo::fft {
 namespace {
@@ -242,24 +245,64 @@ TEST(FftOutParam, ToComplexAndRealPartRoundTrip) {
   }
 }
 
-TEST(FftOutParam, ConvolveSpectrumMatchesManualPipeline) {
-  Rng rng(42);
-  const int n = 16;
-  const Fft2DPlan& plan = plan_for(n, n);
-  GridC spectrum(n, n), kernel(n, n);
-  for (std::size_t i = 0; i < spectrum.size(); ++i) {
-    spectrum[i] = Complex(rng.normal(), rng.normal());
-    kernel[i] = Complex(rng.normal(), rng.normal());
-  }
-  GridC manual = spectrum;
-  multiply_inplace(manual, kernel);
-  plan.inverse(manual);
+// True if bin (v, u) of an n x n spectrum lies in the band box.
+bool in_band(int n, int band, int v, int u) {
+  return std::min(v, n - v) <= band && std::min(u, n - u) <= band;
+}
 
-  GridC out(n, n);  // pre-shaped: the call must reuse this storage
-  const Complex* storage = out.data();
-  plan.convolve_spectrum(spectrum, kernel, out);
-  EXPECT_EQ(out.data(), storage);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], manual[i]);
+TEST(Fft2D, BandTransformsMatchFullTransforms) {
+  // A band only skips row FFTs of zero rows (inverse) and column FFTs of
+  // bins nobody reads (forward), so every specified bin must equal the
+  // full transform exactly, on every backend the host can run.
+  struct BackendGuard {
+    kernels::Backend saved = kernels::active();
+    ~BackendGuard() { kernels::select(saved); }
+  } guard;
+  for (kernels::Backend backend :
+       {kernels::Backend::kGeneric, kernels::Backend::kAvx2,
+        kernels::Backend::kAvx512, kernels::Backend::kNeon}) {
+    if (!kernels::supported(backend)) continue;
+    kernels::select(backend);
+    for (int n : {16, 64, 128}) {
+      const Fft2DPlan& plan = plan_for(n, n);
+      for (int band : {0, 3, 6, n / 2, kFullBand}) {
+        SCOPED_TRACE(std::string(kernels::to_string(backend)) + " n=" +
+                     std::to_string(n) + " band=" + std::to_string(band));
+        Rng rng(static_cast<std::uint64_t>(n * 131 + band % 1000));
+        GridC limited(n, n, Complex(0.0, 0.0));
+        GridC dense(n, n);
+        GridF real(n, n);
+        for (int v = 0; v < n; ++v)
+          for (int u = 0; u < n; ++u) {
+            if (in_band(n, band, v, u))
+              limited.at(v, u) = Complex(rng.normal(), rng.normal());
+            dense.at(v, u) = Complex(rng.normal(), rng.normal());
+            real.at(v, u) = rng.uniform();
+          }
+
+        GridC inv_full = limited, inv_band = limited;
+        plan.inverse(inv_full);
+        plan.inverse(inv_band, band);
+        for (std::size_t i = 0; i < inv_full.size(); ++i)
+          ASSERT_EQ(inv_band[i], inv_full[i]) << "inverse, bin " << i;
+
+        GridC fwd_full = dense, fwd_band = dense;
+        plan.forward(fwd_full);
+        plan.forward(fwd_band, band);
+        GridC real_full, real_band;
+        plan.forward_real(real, real_full);
+        plan.forward_real(real, real_band, band);
+        for (int v = 0; v < n; ++v)
+          for (int u = 0; u < n; ++u) {
+            if (!in_band(n, band, v, u)) continue;
+            ASSERT_EQ(fwd_band.at(v, u), fwd_full.at(v, u))
+                << "forward, bin (" << v << ", " << u << ")";
+            ASSERT_EQ(real_band.at(v, u), real_full.at(v, u))
+                << "forward_real, bin (" << v << ", " << u << ")";
+          }
+      }
+    }
+  }
 }
 
 TEST(FftRawPointer, MatchesGridTransform) {

@@ -2,10 +2,16 @@
 // kernels, aerial imaging, resist model and metrology.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "fft/fft.h"
+#include "kernels/kernels.h"
 #include "layout/raster.h"
 #include "litho/aerial.h"
 #include "litho/config.h"
@@ -264,6 +270,20 @@ TEST(Tcc, SupportRadiusMatchesBand) {
     EXPECT_LE(kx * kx + ky * ky, band_px * band_px + 1e-9);
 }
 
+TEST(Tcc, KernelBandIsSixBinsOnBothInFocusModels) {
+  // Both in-focus models image a 1024 nm field, so the band
+  // (1 + 0.6) * 0.75 / 193 nm^-1 * 1024 nm = 6.4 keeps +-6 bins.
+  LithoConfig fine;  // 128 px x 8 nm
+  for (const LithoConfig& cfg : {fine, test_config()}) {
+    const TccResult tcc = build_tcc(cfg, 2);
+    int reach = 0;
+    for (const auto& [kx, ky] : tcc.support)
+      reach = std::max({reach, std::abs(kx), std::abs(ky)});
+    EXPECT_EQ(reach, 6);
+    EXPECT_EQ(cached_kernels(cfg).band, 6) << "grid " << cfg.grid_size;
+  }
+}
+
 // -------------------------------------------------------------- kernels --
 
 TEST(Kernels, WeightsPositiveDescendingAndEnergyCaptured) {
@@ -474,6 +494,78 @@ TEST(Aerial, OutParamOverloadsReuseWarmBuffersBitIdentically) {
   aerial.backpropagate(reused.intensity, reused, grad_reused);
   for (std::size_t i = 0; i < grad_once.size(); ++i)
     EXPECT_EQ(grad_reused[i], grad_once[i]);
+}
+
+TEST(Aerial, BandPathMatchesFullTransformOracle) {
+  // The simulator's band-limited transforms must reproduce, bit for bit,
+  // the same SOCS forward pass and adjoint written with full transforms:
+  // fields E_k = IFFT(FFT(M) .* h_k), I = sum_k w_k |E_k|^2 and
+  // dL/dM = 2 Re IFFT(sum_k w_k FFT(dL/dI .* E_k) .* conj(h_k)).
+  LithoConfig fine;  // 128 px x 8 nm
+  LithoConfig defocused = test_config();
+  defocused.defocus_nm = 60.0;
+  const kernels::KernelTable& kt = kernels::table();
+  for (const LithoConfig& cfg : {fine, test_config(), defocused}) {
+    SCOPED_TRACE("grid " + std::to_string(cfg.grid_size) + ", defocus " +
+                 std::to_string(cfg.defocus_nm));
+    const SocsKernels& socs = cached_kernels(cfg);
+    ASSERT_LT(2 * socs.band + 1, cfg.grid_size);  // the band path runs
+    const AerialSimulator aerial(socs);
+    const int n = cfg.grid_size;
+    const std::size_t pixels = static_cast<std::size_t>(n) * n;
+    const std::size_t kernel_count = socs.kernel_ffts.size();
+    const fft::Fft2DPlan& plan = fft::plan_for(n, n);
+    Rng rng(static_cast<std::uint64_t>(n) + 17);
+    GridF mask(n, n), dldi(n, n);
+    for (std::size_t i = 0; i < pixels; ++i) {
+      mask[i] = rng.uniform();
+      dldi[i] = rng.uniform(-1.0, 1.0);
+    }
+
+    fft::GridC mask_freq;
+    plan.forward_real(mask, mask_freq);
+    std::vector<fft::GridC> fields(kernel_count, fft::GridC(n, n));
+    GridF intensity(n, n, 0.0);
+    for (std::size_t k = 0; k < kernel_count; ++k) {
+      kt.cmul_to_f64(mask_freq.data(), socs.kernel_ffts[k].data(),
+                     fields[k].data(), pixels);
+      plan.inverse(fields[k]);
+      kt.norm_weighted_accum_f64(intensity.data(), fields[k].data(),
+                                 socs.weights[k], pixels);
+    }
+    fft::GridC accum(n, n, fft::Complex(0.0, 0.0));
+    fft::GridC spectrum(n, n);
+    for (std::size_t k = 0; k < kernel_count; ++k) {
+      kt.real_mul_f64(dldi.data(), fields[k].data(), spectrum.data(),
+                      pixels);
+      plan.forward(spectrum);
+      kt.cmul_conj_accum_f64(accum.data(), spectrum.data(),
+                             socs.kernel_ffts[k].data(), socs.weights[k],
+                             pixels);
+    }
+    plan.inverse(accum);
+    GridF grad(n, n);
+    kt.scaled_real_f64(accum.data(), 2.0, grad.data(), pixels);
+
+    // Warm the field grids on another mask first: a refill must not keep
+    // anything of the previous fields.
+    AerialFields got;
+    aerial.intensity_with_fields(GridF(n, n, 1.0), got);
+    aerial.intensity_with_fields(mask, got);
+    ASSERT_EQ(got.fields.size(), kernel_count);
+    for (std::size_t k = 0; k < kernel_count; ++k)
+      for (std::size_t i = 0; i < pixels; ++i)
+        ASSERT_EQ(got.fields[k][i], fields[k][i])
+            << "field " << k << ", pixel " << i;
+    for (std::size_t i = 0; i < pixels; ++i)
+      ASSERT_EQ(got.intensity[i], intensity[i]) << "intensity, pixel " << i;
+    const GridF streamed = aerial.intensity(mask);
+    for (std::size_t i = 0; i < pixels; ++i)
+      ASSERT_EQ(streamed[i], intensity[i]) << "streamed, pixel " << i;
+    const GridF got_grad = aerial.backpropagate(dldi, got);
+    for (std::size_t i = 0; i < pixels; ++i)
+      ASSERT_EQ(got_grad[i], grad[i]) << "gradient, pixel " << i;
+  }
 }
 
 TEST(Simulator, ExposeAndPrintOutParamsMatchValueOverloads) {

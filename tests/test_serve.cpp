@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -228,6 +229,46 @@ TEST(CacheKey, ScoreKeySeparatesCandidates) {
             score_cache_key(fp, lfp, {0, 1, 1}));
   EXPECT_EQ(score_cache_key(fp, lfp, {0, 1, 0}),
             score_cache_key(fp, lfp, {0, 1, 0}));
+}
+
+// Byte equality, so -0.0 vs +0.0 and NaN payloads count as differences.
+bool same_bytes(const GridF& a, const GridF& b) {
+  return a.height() == b.height() && a.width() == b.width() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(CachedResult, BinaryMasksPackAndUnpackBitForBit) {
+  core::LdmoResult result;
+  result.chosen = {0, 1, 1};
+  result.ilt.mask1 = GridF(8, 9, 0.0);  // 72 pixels: two 64-bit words
+  result.ilt.mask1.at(3, 4) = 1.0;
+  result.ilt.mask1[71] = 1.0;
+  result.ilt.mask2 = GridF(8, 9, 1.0);
+  result.ilt.response = GridF(8, 9, 0.25);
+  const CachedResult cached = pack_result(result);
+  ASSERT_TRUE(cached.mask1.has_value());
+  ASSERT_TRUE(cached.mask2.has_value());
+  EXPECT_EQ(cached.result.ilt.mask1.size(), 0u);
+  EXPECT_EQ(cached.mask1->bits.size(), 2u);
+  const core::LdmoResult back = unpack_result(cached);
+  EXPECT_TRUE(same_bytes(back.ilt.mask1, result.ilt.mask1));
+  EXPECT_TRUE(same_bytes(back.ilt.mask2, result.ilt.mask2));
+  EXPECT_TRUE(same_bytes(back.ilt.response, result.ilt.response));
+  EXPECT_EQ(back.chosen, result.chosen);
+}
+
+TEST(CachedResult, NonBinaryMasksStayWhole) {
+  core::LdmoResult result;
+  result.ilt.mask1 = GridF(4, 4, 0.0);
+  result.ilt.mask1[5] = 0.5;
+  result.ilt.mask2 = GridF(4, 4, 1.0);
+  result.ilt.mask2[0] = -0.0;  // equals 0.0 but would unpack as +0.0
+  const CachedResult cached = pack_result(result);
+  EXPECT_FALSE(cached.mask1.has_value());
+  EXPECT_FALSE(cached.mask2.has_value());
+  const core::LdmoResult back = unpack_result(cached);
+  EXPECT_TRUE(same_bytes(back.ilt.mask1, result.ilt.mask1));
+  EXPECT_TRUE(same_bytes(back.ilt.mask2, result.ilt.mask2));
 }
 
 // --- cross-request batching bit-identity ---
@@ -488,7 +529,12 @@ TEST(Server, ExpiredDeadlineTimesOutWithoutRunning) {
 
 TEST(Server, DeadlineAbortsIltMidRun) {
   // Calibrate a cold run; skip on machines too fast to catch mid-flight.
-  core::FlowEngine solo(fast_engine_config());
+  // The 64 px x 16 nm model (the CLI's) keeps the ILT long enough to
+  // interrupt; the 32 px flow can finish in under 20 ms.
+  core::FlowEngineConfig engine = fast_engine_config();
+  engine.litho.grid_size = 64;
+  engine.litho.pixel_nm = 16.0;
+  core::FlowEngine solo(engine);
   const auto t0 = std::chrono::steady_clock::now();
   (void)solo.run(test_layout(33));
   const double cold_seconds =
@@ -498,6 +544,7 @@ TEST(Server, DeadlineAbortsIltMidRun) {
     GTEST_SKIP() << "flow too fast to interrupt reliably";
 
   ServeConfig cfg = fast_serve_config();
+  cfg.engine = engine;
   cfg.dispatchers = 1;
   Server server(cfg);
   ServeRequest request;

@@ -1,7 +1,7 @@
 // Tests for the runtime workspace/buffer pools (DESIGN.md §9): checkout
 // lifecycle, bit-identity of recycled buffers, stats accounting, concurrent
-// checkout + stats reads (the TSan payload), and the zero-allocation steady
-// state of the ILT loop.
+// checkout + stats reads (the TSan payload), buffer release at thread exit,
+// and the zero-allocation steady state of the ILT loop.
 //
 // Pool counters are cumulative per thread and the gtest main thread reuses
 // one workspace across all tests, so every assertion works on deltas and
@@ -185,7 +185,31 @@ TEST(WorkspaceThreads, ConcurrentCheckoutsAndStatsReads) {
   const PoolStats total = workspace_stats().total();
   EXPECT_GE(total.hits + total.misses,
             static_cast<long long>(kThreads) * kIters * 2);
-  EXPECT_GE(workspace_stats().grid_f.pooled, 1);
+  // Each worker parked its grid after the first iteration and reused it
+  // on every later one (the buffers went when the workers exited).
+  EXPECT_GE(workspace_stats().grid_f.hits,
+            static_cast<long long>(kThreads) * (kIters - 1));
+}
+
+TEST(WorkspaceThreads, ExitedThreadDropsParkedBuffers) {
+  // A thread's workspace outlives the thread for its counters, but its
+  // parked buffers are dropped as the thread exits.
+  Workspace* ws = nullptr;
+  PoolStats parked;
+  std::thread worker([&] {
+    ws = &Workspace::this_thread();
+    { PooledGrid<Complex> g = ws->grid_c(61, 67); }
+    { PooledGrid<Complex> g = ws->grid_c(61, 67); }
+    parked = ws->stats().total();
+  });
+  worker.join();
+  EXPECT_EQ(parked.pooled, 1);
+  EXPECT_EQ(parked.pooled_bytes, 61u * 67u * sizeof(Complex));
+  const PoolStats after = ws->stats().total();
+  EXPECT_EQ(after.pooled, 0);
+  EXPECT_EQ(after.pooled_bytes, 0u);
+  EXPECT_EQ(after.hits, 1);
+  EXPECT_EQ(after.misses, 1);
 }
 
 TEST(WorkspaceThreads, ForkJoinWorkersWriteCheckedOutBuffer) {
